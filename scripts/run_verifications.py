@@ -17,7 +17,7 @@ import time
 
 sys.path.insert(0, "src")
 
-from perpetua.verify import CHECKS, check_singularity, run_check
+from perpetua.verify import CHECKS, run_check
 
 
 def main() -> int:
@@ -29,15 +29,10 @@ def main() -> int:
                     help="emit one JSON line per sub-check instead of a table")
     args = ap.parse_args()
 
-    names = list(CHECKS) + ["singularity"]
     all_ok = True
-    for name in names:
+    for name in CHECKS:
         t0 = time.perf_counter()
-        if name == "singularity":
-            results = check_singularity(seed=args.seed, **(
-                {"n": args.n} if args.n is not None else {}))
-        else:
-            results = run_check(name, seed=args.seed, n=args.n)
+        results = run_check(name, seed=args.seed, n=args.n)
         dt = time.perf_counter() - t0
         for r in results:
             all_ok = all_ok and r["pass"]

@@ -10,23 +10,21 @@ from .errors import (LawValidationError, NonConvergentError, PerpetuaError,
                      PreconditionError)
 from .existence import (VERDICT_CONVERGES, VERDICT_DEGENERATE,
                         VERDICT_DIVERGES, VERDICT_EXACT_STOP, VERDICT_UNKNOWN,
-                        A_of_x, ExistenceReport, degeneracy_scan,
-                        existence_report, log_contraction_profile,
-                        pi_to_zero_verdict, product_vanishes_verdict,
+                        ExistenceReport, degeneracy_scan, existence_report,
+                        log_contraction_profile, product_vanishes_verdict,
                         tail_integral_verdict)
 from .laws import (FAMILIES, Beta, Exponential, FiniteDiscrete, FiniteJoint,
                    Gamma, Independent, InverseGamma, LogPareto, PointMass,
                    Poisson, ScalarLaw, SignedRademacher, UniformContinuous,
-                   UniformDiscreteRange, Weibull, abs_moment, event_prob,
-                   exp_abscissa, exp_moment, joint_from_json, joint_to_json,
-                   law_from_json, law_to_json, log_abs_moment_mean,
+                   UniformDiscreteRange, Weibull, event_prob, joint_from_json,
+                   joint_to_json, law_from_json, law_to_json,
                    restricted_exp_moment, sample_joint, sample_scalar)
 from .moments import (REGIME_BOUNDARY, REGIME_CONTRACTING, REGIME_EXPANDING,
                       AbscissaResult, ExpFeasibility, MomentReport,
                       cauchy_hadamard_estimate, classify_regime,
-                      exp_example_moment, exp_feasible_at,
-                      exp_perpetuity_moment, p_moment_criterion,
-                      r_of_perpetuity, r_star, zstar_bound)
+                      exp_feasible_at, exp_perpetuity_moment,
+                      p_moment_criterion, r_of_perpetuity, r_star,
+                      zstar_bound)
 from .oracles import (OracleSpec, PurityProbe, bernoulli_convolution_cf,
                       oracle_gamma_sizebias, oracle_geometric,
                       oracle_levy_half, oracle_pitman_yor,
@@ -51,13 +49,11 @@ __all__ = [
     "UniformDiscreteRange", "Exponential", "Gamma", "Beta", "Weibull",
     "Poisson", "InverseGamma", "SignedRademacher", "LogPareto", "FAMILIES",
     "Independent", "FiniteJoint",
-    "sample_scalar", "sample_joint", "abs_moment", "exp_moment",
-    "exp_abscissa", "log_abs_moment_mean", "restricted_exp_moment",
-    "event_prob", "law_to_json", "law_from_json", "joint_to_json",
-    "joint_from_json",
+    "sample_scalar", "sample_joint", "restricted_exp_moment", "event_prob",
+    "law_to_json", "law_from_json", "joint_to_json", "joint_from_json",
     "ExistenceReport", "existence_report", "degeneracy_scan",
-    "log_contraction_profile", "A_of_x", "product_vanishes_verdict",
-    "pi_to_zero_verdict", "tail_integral_verdict",
+    "log_contraction_profile", "product_vanishes_verdict",
+    "tail_integral_verdict",
     "VERDICT_CONVERGES", "VERDICT_DIVERGES",
     "VERDICT_DEGENERATE", "VERDICT_EXACT_STOP", "VERDICT_UNKNOWN",
     "PerpetuityConfig", "SampleOutcome", "EmpiricalDistribution", "Trajectory",
@@ -67,7 +63,7 @@ __all__ = [
     "atom_scan", "to_csv", "DEFAULT_EPSILON", "DEFAULT_MAX_TERMS",
     "MomentReport", "ExpFeasibility", "AbscissaResult", "classify_regime",
     "p_moment_criterion", "zstar_bound", "exp_feasible_at", "r_star",
-    "r_of_perpetuity", "exp_perpetuity_moment", "exp_example_moment",
+    "r_of_perpetuity", "exp_perpetuity_moment",
     "cauchy_hadamard_estimate", "REGIME_CONTRACTING", "REGIME_BOUNDARY",
     "REGIME_EXPANDING",
     "OracleSpec", "PurityProbe", "oracle_geometric", "oracle_uniform_digits",

@@ -8,8 +8,9 @@ Configs are JSON joint-law objects, optionally carrying sampler settings:
      "epsilon": 1e-15, "max_terms": 1000000, "seed": 0}
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or config error, 3 non-convergent perpetuity when simulation was
-requested, 4 truncation-quality failure (max_terms exhaustion above 1%).
+2 usage, config or output-path error, 3 non-convergent perpetuity when
+simulation was requested, 4 truncation-quality failure (max_terms exhaustion
+above 1%).  The commands raise; ``main`` maps each error to its code once.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ _EXIT_NON_CONVERGENT = 3
 _EXIT_TRUNCATION = 4
 
 _EXHAUSTION_RATE_LIMIT = 0.01
+
+
+class _UsageError(Exception):
+    """A flag value the parser accepts but the command cannot use."""
 
 
 def _read_config(path: str) -> dict:
@@ -84,11 +89,7 @@ def cmd_analyze(config_path: str, p_list, n=None, seed=None, epsilon=None,
                 max_terms=None, out=None, compact=False,
                 check_fixed_point=False, workers=None) -> int:
     """Existence, moment, and abscissa report; optional sampling summary."""
-    try:
-        cfg = _build_config(_read_config(config_path), epsilon, max_terms, seed)
-    except LawValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    cfg = _build_config(_read_config(config_path), epsilon, max_terms, seed)
     rep = existence_report(cfg.joint)
     report = {
         "config": joint_to_json(cfg.joint),
@@ -107,11 +108,7 @@ def cmd_analyze(config_path: str, p_list, n=None, seed=None, epsilon=None,
     except PreconditionError as exc:
         report["abscissa"] = {"refused": str(exc)}
     if n is not None:
-        try:
-            emp = sample_batch(cfg, n, workers)
-        except NonConvergentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return _EXIT_NON_CONVERGENT
+        emp = sample_batch(cfg, n, workers)
         summary = emp.summary() if n > 0 else {"n": 0}
         if check_fixed_point and n > 0:
             summary["fixed_point_residual"] = fixed_point_residual(cfg, n, workers)
@@ -124,16 +121,8 @@ def cmd_simulate(config_path: str, n: int, seed=None, out_csv=None,
                  epsilon=None, max_terms=None, check_fixed_point=False,
                  compact=False, workers=None) -> int:
     """Draw a batch, write CSV samples, print a JSON summary."""
-    try:
-        cfg = _build_config(_read_config(config_path), epsilon, max_terms, seed)
-    except LawValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        emp = sample_batch(cfg, n, workers)
-    except NonConvergentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NON_CONVERGENT
+    cfg = _build_config(_read_config(config_path), epsilon, max_terms, seed)
+    emp = sample_batch(cfg, n, workers)
     if out_csv:
         to_csv(emp, out_csv)
     summary = emp.summary() if n > 0 else {"n": 0, "n_truncated": 0, "n_exhausted": 0}
@@ -151,9 +140,7 @@ def cmd_simulate(config_path: str, n: int, seed=None, out_csv=None,
 def cmd_verify(name: str, seed: int = 0, n=None, compact=True) -> int:
     """Run one named oracle check; one JSON result line per sub-check."""
     if name not in CHECKS:
-        print(f"error: unknown example {name!r}; valid: {', '.join(sorted(CHECKS))}",
-              file=sys.stderr)
-        return _EXIT_USAGE
+        raise _UsageError(f"unknown example {name!r}; valid: {', '.join(sorted(CHECKS))}")
     results = run_check(name, seed=seed, n=n)
     for r in results:
         _emit(r, compact, None)
@@ -203,27 +190,30 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else _EXIT_OK
-    if args.command == "analyze":
+    try:
         if args.n is not None and args.n < 0:
-            print("error: --n must be nonnegative", file=sys.stderr)
-            return _EXIT_USAGE
-        return cmd_analyze(args.config, args.p, n=args.n, seed=args.seed,
-                           epsilon=args.epsilon, max_terms=args.max_terms,
-                           out=args.out, compact=args.json,
-                           check_fixed_point=args.check_fixed_point,
-                           workers=args.workers)
-    if args.command == "simulate":
-        if args.n < 0:
-            print("error: --n must be nonnegative", file=sys.stderr)
-            return _EXIT_USAGE
-        return cmd_simulate(args.config, args.n, seed=args.seed,
-                            out_csv=args.out, epsilon=args.epsilon,
-                            max_terms=args.max_terms,
-                            check_fixed_point=args.check_fixed_point,
-                            compact=args.json, workers=args.workers)
-    if args.command == "verify":
+            raise _UsageError("--n must be nonnegative")
+        if args.command == "analyze":
+            return cmd_analyze(args.config, args.p, n=args.n, seed=args.seed,
+                               epsilon=args.epsilon, max_terms=args.max_terms,
+                               out=args.out, compact=args.json,
+                               check_fixed_point=args.check_fixed_point,
+                               workers=args.workers)
+        if args.command == "simulate":
+            return cmd_simulate(args.config, args.n, seed=args.seed,
+                                out_csv=args.out, epsilon=args.epsilon,
+                                max_terms=args.max_terms,
+                                check_fixed_point=args.check_fixed_point,
+                                compact=args.json, workers=args.workers)
         return cmd_verify(args.example, seed=args.seed, n=args.n)
-    return _EXIT_USAGE
+    except (_UsageError, LawValidationError) as exc:
+        code, msg = _EXIT_USAGE, str(exc)
+    except NonConvergentError as exc:
+        code, msg = _EXIT_NON_CONVERGENT, str(exc)
+    except OSError as exc:  # unreadable configs surface as LawValidationError
+        code, msg = _EXIT_USAGE, f"cannot write output: {exc}"
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

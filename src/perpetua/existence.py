@@ -218,9 +218,3 @@ def existence_report(joint: JointLaw) -> ExistenceReport:
     the series terminates at the first zero factor), or "unknown".
     """
     return _cached_report(joint)
-
-
-# Conventional aliases: A(x) is the usual name for the clipped contraction
-# mean, and the product verdict answers "does Pi_n go to zero".
-A_of_x = log_contraction_profile
-pi_to_zero_verdict = product_vanishes_verdict

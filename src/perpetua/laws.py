@@ -76,7 +76,10 @@ class ScalarLaw:
         return 0.0
 
     def prob_abs_lt(self, u: float) -> float:
-        """P{|X| < u}."""
+        """P{|X| < u}; summed over the atoms as in ``prob_abs_gt``."""
+        atoms = self.finite_atoms()
+        if atoms is not None:
+            return float(sum(p for v, p in atoms if abs(v) < u))
         if u <= 0:
             return 0.0
         return max(0.0, (self.cdf(u) - self.point_prob(u)) - self.cdf(-u))
@@ -86,6 +89,18 @@ class ScalarLaw:
         if u < 0:
             return 0.0
         return max(0.0, self.cdf(u) - self.cdf(-u) + self.point_prob(-u))
+
+    def prob_abs_gt(self, u: float) -> float:
+        """P{|X| > u}.
+
+        Summed over the atoms when the law has finitely many, so it is exactly
+        0 when no atom lies above u even if the probabilities add up to 1 only
+        within rounding.
+        """
+        atoms = self.finite_atoms()
+        if atoms is not None:
+            return float(sum(p for v, p in atoms if abs(v) > u))
+        return max(0.0, 1.0 - self.prob_abs_le(u))
 
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
@@ -975,7 +990,7 @@ JointLaw = Union[Independent, FiniteJoint]
 
 
 # --------------------------------------------------------------------------
-# operations (module-level API mirroring the law methods)
+# module-level operations
 
 
 def sample_scalar(law: ScalarLaw, stream: RandomStream) -> float:
@@ -987,22 +1002,6 @@ def sample_joint(joint: JointLaw, stream: RandomStream) -> tuple[float, float]:
     """Draw one (M, Q) pair."""
     ms, qs = joint.draw_pairs(stream, 1)
     return float(ms[0]), float(qs[0])
-
-
-def abs_moment(law: ScalarLaw, p: float) -> float:
-    return law.abs_moment(p)
-
-
-def exp_moment(law: ScalarLaw, s: float, of_abs: bool = False) -> float:
-    return law.exp_moment(s, of_abs=of_abs)
-
-
-def exp_abscissa(law: ScalarLaw) -> float:
-    return law.exp_abscissa()
-
-
-def log_abs_moment_mean(law: ScalarLaw) -> float:
-    return law.log_abs_mean()
 
 
 def restricted_exp_moment(joint: JointLaw, s: float, q_sign: int, m_atom: float) -> float:
@@ -1031,7 +1030,7 @@ def event_prob(joint: JointLaw, event: str) -> float:
     if event == "|M|<=1":
         return m.prob_abs_le(1.0)
     if event == "|M|>1":
-        return 1.0 - m.prob_abs_le(1.0)
+        return m.prob_abs_gt(1.0)
     if event == "Q=0":
         return q.point_prob(0.0)
     raise PreconditionError(f"unknown event {event!r}; valid events: {', '.join(EVENTS)}")

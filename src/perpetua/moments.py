@@ -119,16 +119,18 @@ def _require_nondegenerate(joint: JointLaw, what: str) -> None:
 
 
 def classify_regime(joint: JointLaw) -> str:
-    """Position of |M| relative to 1: all-contracting, boundary, or expanding."""
-    p_lt = event_prob(joint, "|M|<1")
-    p_le = event_prob(joint, "|M|<=1")
-    p_eq = event_prob(joint, "|M|=1")
-    if p_lt == 1.0:
-        return REGIME_CONTRACTING
-    if p_le == 1.0 and 0.0 < p_eq < 1.0:
-        return REGIME_BOUNDARY
-    if p_le < 1.0:
+    """Position of |M| relative to 1: all-contracting, boundary, or expanding.
+
+    Each branch tests an event for probability exactly zero rather than its
+    complement for exactly one, so finite laws whose probabilities add up to
+    1 only within rounding keep their regime.
+    """
+    if event_prob(joint, "|M|>1") > 0.0:
         return REGIME_EXPANDING
+    if event_prob(joint, "|M|=1") == 0.0:
+        return REGIME_CONTRACTING
+    if event_prob(joint, "|M|<1") > 0.0:
+        return REGIME_BOUNDARY
     raise PreconditionError("|M| = 1 a.s.: no exponential-moment regime applies")
 
 
@@ -273,7 +275,7 @@ def exp_perpetuity_moment(a: float, law_m: ScalarLaw, n: int) -> float:
     if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
         raise PreconditionError(f"a must be a finite real > 0, got {a!r}")
     lo, _hi = law_m.support()
-    if lo < 0 or law_m.prob_abs_le(1.0) != 1.0:
+    if lo < 0 or law_m.prob_abs_gt(1.0) > 0.0:
         raise PreconditionError("exp_perpetuity_moment requires P{0 <= M <= 1} = 1")
     if law_m.abs_moment(1.0) >= 1.0:
         raise PreconditionError("exp_perpetuity_moment requires E M < 1")
@@ -284,10 +286,6 @@ def exp_perpetuity_moment(a: float, law_m: ScalarLaw, n: int) -> float:
             raise PreconditionError(f"E M^{k} = 1: moment formula undefined")
         prod *= 1.0 - mk
     return math.factorial(n) / (a ** n * prod)
-
-
-# alias used by the worked-example verifications
-exp_example_moment = exp_perpetuity_moment
 
 
 def _ch_ratios(moments) -> list[float]:

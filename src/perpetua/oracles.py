@@ -203,6 +203,7 @@ class PurityProbe:
     atoms: list
     cf_decay: str  # "decaying", "persistent", or "inconclusive"; heuristic
     analytic_cf_check: float | None
+    tail_peak: float  # max CF modulus over the top of the grid; drives cf_decay
 
     def to_json(self) -> dict:
         return {
@@ -263,4 +264,4 @@ def purity_probe(emp: EmpiricalDistribution, lawM_const: float | None = None,
     if lawM_const is not None:
         analytic = bernoulli_convolution_cf(float(lawM_const), ts, t_max)
         check = float(np.max(np.abs(mods - analytic)))
-    return PurityProbe(atom_scan(emp, 0.01), decay, check)
+    return PurityProbe(atom_scan(emp, 0.01), decay, check, peak)

@@ -32,6 +32,7 @@ DEFAULT_EPSILON = 1e-15
 DEFAULT_MAX_TERMS = 10 ** 6
 
 _BLOCK = 48
+_CF_CHUNK = 64
 
 _SAMPLEABLE = (VERDICT_CONVERGES, VERDICT_EXACT_STOP, VERDICT_DEGENERATE)
 
@@ -299,24 +300,32 @@ def fixed_point_residual(config: PerpetuityConfig, n: int,
     return two_sample_ks(np.round(z / step) * step, np.round(rhs / step) * step)
 
 
+def _cf_parts(x: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the empirical CF of ``x`` at each t in ``ts``.
+
+    Rows of the t-by-sample product matrix are formed _CF_CHUNK at a time, so
+    memory stays at _CF_CHUNK * len(x) floats whatever the grid size.
+    """
+    re = np.empty(ts.size)
+    im = np.empty(ts.size)
+    for a in range(0, ts.size, _CF_CHUNK):
+        tx = np.outer(ts[a : a + _CF_CHUNK], x)
+        re[a : a + _CF_CHUNK] = np.cos(tx).mean(axis=1)
+        im[a : a + _CF_CHUNK] = np.sin(tx).mean(axis=1)
+    return re, im
+
+
 def empirical_cf(emp: EmpiricalDistribution, t: float) -> tuple[float, float]:
     """Empirical characteristic function at t: ((1/n) sum cos, (1/n) sum sin)."""
     emp._require_nonempty()
-    tx = t * emp.samples
-    return float(np.mean(np.cos(tx))), float(np.mean(np.sin(tx)))
+    re, im = _cf_parts(emp.samples, np.array([float(t)]))
+    return float(re[0]), float(im[0])
 
 
-def cf_modulus_grid(emp: EmpiricalDistribution, ts: np.ndarray,
-                    chunk: int = 64) -> np.ndarray:
+def cf_modulus_grid(emp: EmpiricalDistribution, ts: np.ndarray) -> np.ndarray:
     """|empirical CF| on a grid of t values, computed in memory-bounded chunks."""
     emp._require_nonempty()
-    ts = np.asarray(ts, dtype=float)
-    out = np.empty(ts.size)
-    x = emp.samples
-    for a in range(0, ts.size, chunk):
-        tx = np.outer(ts[a : a + chunk], x)
-        out[a : a + chunk] = np.hypot(np.cos(tx).mean(axis=1), np.sin(tx).mean(axis=1))
-    return out
+    return np.hypot(*_cf_parts(emp.samples, np.asarray(ts, dtype=float)))
 
 
 def empirical_moment(emp: EmpiricalDistribution, p: float,

@@ -16,13 +16,13 @@ from scipy import stats
 from .errors import PreconditionError
 from .laws import (Exponential, FiniteDiscrete, Independent, PointMass,
                    SignedRademacher, UniformContinuous)
-from .moments import (cauchy_hadamard_estimate, exp_example_moment,
+from .moments import (cauchy_hadamard_estimate, exp_perpetuity_moment,
                       r_of_perpetuity, r_star)
 from .oracles import (levy_q_lt_residual, oracle_gamma_sizebias,
                       oracle_geometric, oracle_levy_half,
                       oracle_pitman_yor_identity, oracle_uniform_digits,
                       oracle_uniform_symmetric, purity_probe)
-from .sampling import (PerpetuityConfig, cf_modulus_grid, empirical_moment,
+from .sampling import (PerpetuityConfig, _cf_parts, empirical_moment,
                        fixed_point_residual, ks_distance, sample_batch)
 
 DEFAULT_N = 100_000
@@ -32,18 +32,6 @@ def _result(oracle, params, check, statistic, threshold, ok):
     return {"oracle": oracle, "params": dict(params), "check": check,
             "statistic": float(statistic), "threshold": float(threshold),
             "pass": bool(ok)}
-
-
-def _cf_complex_dev(samples: np.ndarray, ts: np.ndarray, target: np.ndarray,
-                    chunk: int = 64) -> float:
-    """max_t |empirical CF(t) - target(t)| with a real-valued target."""
-    worst = 0.0
-    for a in range(0, ts.size, chunk):
-        tx = np.outer(ts[a : a + chunk], samples)
-        re = np.cos(tx).mean(axis=1) - target[a : a + chunk]
-        im = np.sin(tx).mean(axis=1)
-        worst = max(worst, float(np.max(np.hypot(re, im))))
-    return worst
 
 
 def check_geometric(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
@@ -88,8 +76,8 @@ def check_uniform_symmetric(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     ks = ks_distance(emp, spec.cdf)
     out = [_result(spec.name, spec.params, "ks", ks, 0.01, ks < 0.01)]
     ts = np.arange(0.5, 100.0 + 1e-9, 0.25)
-    target = np.sin(2.0 * ts) / (2.0 * ts)
-    dev = _cf_complex_dev(emp.samples, ts, target)
+    re, im = _cf_parts(emp.samples, ts)
+    dev = float(np.max(np.hypot(re - np.sin(2.0 * ts) / (2.0 * ts), im)))
     out.append(_result(spec.name, spec.params, "cf-identity", dev, 0.02, dev < 0.02))
     return out
 
@@ -103,11 +91,9 @@ def check_singularity(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     dev = probe.analytic_cf_check
     out = [_result("bernoulli-convolution", params, "cf-identity", dev, 0.02,
                    dev < 0.02)]
-    ts = np.arange(2.0, 300.0 + 1e-9, 0.25)
-    tail_peak = float(np.max(cf_modulus_grid(emp, ts)[ts > 50.0]))
     out.append(_result("bernoulli-convolution", params, "cf-persistent",
-                       tail_peak, 0.2,
-                       probe.cf_decay == "persistent" and tail_peak > 0.2))
+                       probe.tail_peak, 0.2,
+                       probe.cf_decay == "persistent" and probe.tail_peak > 0.2))
     return out
 
 
@@ -170,7 +156,7 @@ def check_exp_moments(seed: int = 0, n: int = 1_000_000) -> list[dict]:
     emp = sample_batch(PerpetuityConfig(joint, seed=seed), n)
     out = []
     for k in (1, 2, 3):
-        analytic = exp_example_moment(1.0, law_m, k)
+        analytic = exp_perpetuity_moment(1.0, law_m, k)
         rel = abs(empirical_moment(emp, float(k)) / analytic - 1.0)
         out.append(_result("exp-moment-formula", {"a": 1.0, "k": k},
                            f"moment-{k}-rel-err", rel, 0.05, rel < 0.05))
@@ -195,7 +181,7 @@ def check_abscissa_boundary(seed: int = 0, n: int | None = None) -> list[dict]:
     rz_e = r_of_perpetuity(expanding).r_z
     out.append(_result("abscissa", {"regime": "expanding"}, "r-z-zero",
                        rz_e, 0.0, rz_e == 0.0))
-    moments = [exp_example_moment(1.0, UniformContinuous(0.0, 1.0), k)
+    moments = [exp_perpetuity_moment(1.0, UniformContinuous(0.0, 1.0), k)
                for k in range(1, 11)]
     est = cauchy_hadamard_estimate(moments)
     out.append(_result("abscissa", {"source": "moment-sequence"}, "ratio-trend",
@@ -212,6 +198,8 @@ CHECKS = {
     "pitman-yor": check_pitman_yor,
     "exp-moments": check_exp_moments,
     "abscissa-boundary": check_abscissa_boundary,
+    "singularity": check_singularity,
+    "fixed-point-residuals": check_fixed_point_residuals,
 }
 
 

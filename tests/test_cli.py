@@ -126,6 +126,15 @@ def test_analyze_negative_n_is_usage_error(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_analyze_unwritable_out_is_usage_error(tmp_path, capsys):
+    cfg = _write(tmp_path, BETA_EXP)
+    out = tmp_path / "missing-dir" / "report.json"
+    assert main(["analyze", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_epsilon_flag_changes_truncation(tmp_path, capsys):
     cfg = _write(tmp_path, HALF_ONE)
     assert main(["analyze", cfg, "--n", "1", "--epsilon", "0.25"]) == 0
@@ -227,6 +236,15 @@ def test_simulate_negative_n_is_usage_error(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys):
+    cfg = _write(tmp_path, GEOMETRIC)
+    out = tmp_path / "missing-dir" / "z.csv"
+    assert main(["simulate", cfg, "--n", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_bad_config_seed_type(tmp_path, capsys):
     cfg = _write(tmp_path, dict(GEOMETRIC, seed="zero"))
     assert main(["simulate", cfg, "--n", "10",
@@ -258,6 +276,21 @@ def test_verify_unknown_name_lists_valid(capsys):
     assert main(["verify", "bogus"]) == 2
     err = capsys.readouterr().err
     assert "geometric" in err and "pitman-yor" in err
+    assert "singularity" in err and "fixed-point-residuals" in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def test_verify_singularity_runs_from_registry(capsys):
+    # small n may fail the calibrated gates (exit 1) but must not be unknown (2)
+    assert main(["verify", "singularity", "--n", "2000"]) in (0, 1)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines
+    for line in lines:
+        result = json.loads(line, parse_constant=_reject_constant)
+        assert result["oracle"] == "bernoulli-convolution"
 
 
 # --- parser plumbing ---------------------------------------------------------

@@ -8,9 +8,9 @@ from scipy import integrate, stats
 
 from perpetua.errors import PreconditionError
 from perpetua.existence import (VERDICT_CONVERGES, VERDICT_DEGENERATE,
-                                VERDICT_DIVERGES, VERDICT_EXACT_STOP, A_of_x,
+                                VERDICT_DIVERGES, VERDICT_EXACT_STOP,
                                 degeneracy_scan, existence_report,
-                                log_contraction_profile, pi_to_zero_verdict,
+                                log_contraction_profile,
                                 product_vanishes_verdict,
                                 tail_integral_verdict)
 from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
@@ -19,29 +19,31 @@ from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
 
 
 def test_a_of_x_point_mass():
-    assert A_of_x(PointMass(0.5), 10.0) == pytest.approx(math.log(2))
-    assert A_of_x(PointMass(0.5), 0.1) == pytest.approx(0.1)
-    assert A_of_x(PointMass(0.5), 0.0) == 0.0
+    assert log_contraction_profile(PointMass(0.5), 10.0) == pytest.approx(math.log(2))
+    assert log_contraction_profile(PointMass(0.5), 0.1) == pytest.approx(0.1)
+    assert log_contraction_profile(PointMass(0.5), 0.0) == 0.0
 
 
 def test_a_of_x_uniform():
     # -log M ~ Exponential(1) when M ~ U(0,1), so A(x) = 1 - e^{-x}
     u = Beta(1.0, 1.0)
     for x in (0.25, 1.0, 4.0):
-        assert A_of_x(u, x) == pytest.approx(1.0 - math.exp(-x), rel=1e-8)
-    assert A_of_x(u, 1.0) == pytest.approx(0.6321, abs=1e-4)
+        assert log_contraction_profile(u, x) == pytest.approx(
+            1.0 - math.exp(-x), rel=1e-8)
+    assert log_contraction_profile(u, 1.0) == pytest.approx(0.6321, abs=1e-4)
 
 
 def test_a_of_x_finite_discrete_exact():
     law = FiniteDiscrete((3.0, 0.05), (0.25, 0.75))
     # only the 0.05 atom contributes log^- mass
-    assert A_of_x(law, 100.0) == pytest.approx(0.75 * math.log(1 / 0.05))
-    assert A_of_x(law, 1.0) == pytest.approx(0.75 * 1.0)
+    assert log_contraction_profile(law, 100.0) == pytest.approx(
+        0.75 * math.log(1 / 0.05))
+    assert log_contraction_profile(law, 1.0) == pytest.approx(0.75 * 1.0)
 
 
 def test_a_of_x_rejects_mass_at_zero():
     with pytest.raises(PreconditionError):
-        A_of_x(FiniteDiscrete((0.0, 0.5), (0.3, 0.7)), 1.0)
+        log_contraction_profile(FiniteDiscrete((0.0, 0.5), (0.3, 0.7)), 1.0)
 
 
 @pytest.mark.parametrize("law", [
@@ -50,7 +52,7 @@ def test_a_of_x_rejects_mass_at_zero():
 ], ids=["point", "u01", "beta21", "fd", "u.1.9"])
 def test_a_of_x_monotone_lipschitz_grid(law):
     xs = np.linspace(0.0, 8.0, 33)
-    vals = [A_of_x(law, float(x)) for x in xs]
+    vals = [log_contraction_profile(law, float(x)) for x in xs]
     for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
         assert v1 >= v0 - 1e-12
         assert v1 - v0 <= (x1 - x0) + 1e-10
@@ -62,21 +64,16 @@ def test_a_of_x_monotone_lipschitz_grid(law):
     (Beta(2.0, 3.0), -(stats.beta(2, 3).expect(np.log))),
 ], ids=["point", "u01", "beta23"])
 def test_a_of_x_limit_is_mean_log_minus(law, limit):
-    assert A_of_x(law, 1e3) == pytest.approx(limit, abs=1e-6)
-
-
-def test_alias_matches_primary_name():
-    assert A_of_x is log_contraction_profile
-    assert pi_to_zero_verdict is product_vanishes_verdict
+    assert log_contraction_profile(law, 1e3) == pytest.approx(limit, abs=1e-6)
 
 
 def test_pi_to_zero_examples():
-    assert pi_to_zero_verdict(PointMass(0.5)) == "yes"
-    assert pi_to_zero_verdict(PointMass(1.0)) == "no"
-    assert pi_to_zero_verdict(FiniteDiscrete((3.0, 0.05), (0.25, 0.75))) == "yes"
-    assert pi_to_zero_verdict(PointMass(2.0)) == "no"
-    assert pi_to_zero_verdict(SignedRademacher(1.0)) == "no"
-    assert pi_to_zero_verdict(Beta(1.0, 1.0)) == "yes"
+    assert product_vanishes_verdict(PointMass(0.5)) == "yes"
+    assert product_vanishes_verdict(PointMass(1.0)) == "no"
+    assert product_vanishes_verdict(FiniteDiscrete((3.0, 0.05), (0.25, 0.75))) == "yes"
+    assert product_vanishes_verdict(PointMass(2.0)) == "no"
+    assert product_vanishes_verdict(SignedRademacher(1.0)) == "no"
+    assert product_vanishes_verdict(Beta(1.0, 1.0)) == "yes"
 
 
 def test_tail_integral_analytic_examples():
@@ -194,7 +191,8 @@ def test_cached_report_instance_reuse():
        st.floats(min_value=0.0, max_value=20.0))
 @settings(max_examples=40, deadline=None)
 def test_a_of_x_point_mass_closed_form_property(c, x):
-    assert A_of_x(PointMass(c), x) == pytest.approx(min(x, -math.log(c)), rel=1e-12)
+    assert log_contraction_profile(PointMass(c), x) == pytest.approx(
+        min(x, -math.log(c)), rel=1e-12)
 
 
 @given(st.floats(min_value=0.2, max_value=3.0),
@@ -206,4 +204,4 @@ def test_a_of_x_beta_quadrature_oracle(a, b):
     dist = stats.beta(a, b)
     want, _ = integrate.quad(
         lambda t: min(-math.log(t), x) * dist.pdf(t), 0.0, 1.0, limit=200)
-    assert A_of_x(Beta(a, b), x) == pytest.approx(want, rel=1e-6)
+    assert log_contraction_profile(Beta(a, b), x) == pytest.approx(want, rel=1e-6)

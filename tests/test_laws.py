@@ -11,10 +11,9 @@ from perpetua.laws import (EVENTS, Beta, Exponential, FiniteDiscrete,
                            FiniteJoint, Gamma, Independent, InverseGamma,
                            LogPareto, PointMass, Poisson, SignedRademacher,
                            UniformContinuous, UniformDiscreteRange, Weibull,
-                           abs_moment, event_prob, exp_abscissa, exp_moment,
-                           joint_from_json, joint_to_json, law_from_json,
-                           law_to_json, log_abs_moment_mean,
-                           restricted_exp_moment, sample_joint, sample_scalar)
+                           event_prob, joint_from_json, joint_to_json,
+                           law_from_json, law_to_json, restricted_exp_moment,
+                           sample_joint, sample_scalar)
 from perpetua.streams import RandomStream
 
 # Density-backed families paired with their scipy counterparts; abs moments
@@ -36,7 +35,7 @@ _SCIPY_PAIRS = [
                          ids=[type(l).__name__ + repr(i) for i, (l, _) in enumerate(_SCIPY_PAIRS)])
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 def test_abs_moment_matches_density_quadrature(law, dist, p):
-    got = abs_moment(law, p)
+    got = law.abs_moment(p)
     if math.isinf(got):
         # quad cannot certify divergence; only check the finite cases
         pytest.skip("infinite moment")
@@ -66,11 +65,11 @@ def test_sampling_tracks_cdf(law, dist):
 
 
 def test_log_abs_mean_values():
-    assert log_abs_moment_mean(PointMass(0.5)) == pytest.approx(-math.log(2))
-    assert log_abs_moment_mean(Beta(1.0, 1.0)) == pytest.approx(-1.0)
+    assert PointMass(0.5).log_abs_mean() == pytest.approx(-math.log(2))
+    assert Beta(1.0, 1.0).log_abs_mean() == pytest.approx(-1.0)
     fd = FiniteDiscrete((3.0, 0.05), (0.25, 0.75))
     expect = 0.25 * math.log(3) + 0.75 * math.log(0.05)
-    assert log_abs_moment_mean(fd) == pytest.approx(expect)
+    assert fd.log_abs_mean() == pytest.approx(expect)
     assert expect == pytest.approx(-1.9721, abs=1e-4)
 
 
@@ -78,7 +77,7 @@ def test_log_abs_mean_scipy_cross_check():
     # E log M for Beta(2, 3) via direct quadrature of log(x) * pdf
     law = Beta(2.0, 3.0)
     val, _ = integrate.quad(lambda x: math.log(x) * stats.beta(2, 3).pdf(x), 0, 1)
-    assert log_abs_moment_mean(law) == pytest.approx(val, rel=1e-8)
+    assert law.log_abs_mean() == pytest.approx(val, rel=1e-8)
 
 
 def test_restricted_exp_moment_examples():
@@ -131,22 +130,22 @@ def test_exp_moment_at_zero_is_one():
             Weibull(1.5, 1.0), Poisson(2.5), InverseGamma(1.5, 1.0),
             SignedRademacher(2.0), LogPareto(0.5)]
     for law in laws:
-        assert exp_moment(law, 0.0) == pytest.approx(1.0)
-        assert exp_moment(law, 0.0, of_abs=True) == pytest.approx(1.0)
+        assert law.exp_moment(0.0) == pytest.approx(1.0)
+        assert law.exp_moment(0.0, of_abs=True) == pytest.approx(1.0)
 
 
 def test_exp_moment_closed_forms():
-    assert exp_moment(Exponential(2.0), 1.0) == pytest.approx(2.0)
-    assert math.isinf(exp_moment(Exponential(2.0), 2.0))
-    assert exp_moment(Gamma(2.0, 3.0), 1.0) == pytest.approx((3.0 / 2.0) ** 2.0)
+    assert Exponential(2.0).exp_moment(1.0) == pytest.approx(2.0)
+    assert math.isinf(Exponential(2.0).exp_moment(2.0))
+    assert Gamma(2.0, 3.0).exp_moment(1.0) == pytest.approx((3.0 / 2.0) ** 2.0)
     lam = 1.3
-    assert exp_moment(Poisson(lam), 0.4) == pytest.approx(
+    assert Poisson(lam).exp_moment(0.4) == pytest.approx(
         math.exp(lam * (math.exp(0.4) - 1.0)), rel=1e-10)
     n = 5
     s = 0.37
     direct = sum(math.exp(s * k) for k in range(n)) / n
-    assert exp_moment(UniformDiscreteRange(n), s) == pytest.approx(direct, rel=1e-12)
-    assert exp_moment(UniformContinuous(0.0, 2.0), 1.0) == pytest.approx(
+    assert UniformDiscreteRange(n).exp_moment(s) == pytest.approx(direct, rel=1e-12)
+    assert UniformContinuous(0.0, 2.0).exp_moment(1.0) == pytest.approx(
         (math.exp(2.0) - 1.0) / 2.0)
 
 
@@ -155,39 +154,39 @@ def test_exp_moment_against_scipy_expect():
                           (Weibull(2.0, 1.0), stats.weibull_min(2, scale=1), 40.0)]:
         want, _ = integrate.quad(lambda x: math.exp(0.8 * x) * dist.pdf(x),
                                  0.0, hi, limit=200)
-        assert exp_moment(law, 0.8) == pytest.approx(want, rel=1e-7)
+        assert law.exp_moment(0.8) == pytest.approx(want, rel=1e-7)
 
 
 def test_exp_moment_of_abs_splits_sign():
     law = UniformContinuous(-2.0, 1.0)
     want, _ = integrate.quad(lambda x: math.exp(0.5 * abs(x)) / 3.0, -2.0, 1.0)
-    assert exp_moment(law, 0.5, of_abs=True) == pytest.approx(want, rel=1e-9)
+    assert law.exp_moment(0.5, of_abs=True) == pytest.approx(want, rel=1e-9)
     rad = SignedRademacher(1.5)
-    assert exp_moment(rad, 0.4, of_abs=True) == pytest.approx(math.exp(0.6))
-    assert exp_moment(rad, 0.4) == pytest.approx(math.cosh(0.6))
+    assert rad.exp_moment(0.4, of_abs=True) == pytest.approx(math.exp(0.6))
+    assert rad.exp_moment(0.4) == pytest.approx(math.cosh(0.6))
 
 
 def test_exp_abscissa_values():
-    assert exp_abscissa(Exponential(2.0)) == 2.0
-    assert exp_abscissa(Gamma(1.5, 3.0)) == 3.0
-    assert math.isinf(exp_abscissa(Beta(1.0, 1.0)))
-    assert math.isinf(exp_abscissa(Poisson(1.0)))
-    assert math.isinf(exp_abscissa(Weibull(2.0, 1.0)))
-    assert exp_abscissa(Weibull(1.0, 2.0)) == pytest.approx(0.5)
-    assert exp_abscissa(Weibull(0.5, 1.0)) == 0.0
-    assert exp_abscissa(InverseGamma(1.5, 1.0)) == 0.0
-    assert exp_abscissa(LogPareto(0.5)) == 0.0
-    assert math.isinf(exp_abscissa(PointMass(3.0)))
+    assert Exponential(2.0).exp_abscissa() == 2.0
+    assert Gamma(1.5, 3.0).exp_abscissa() == 3.0
+    assert math.isinf(Beta(1.0, 1.0).exp_abscissa())
+    assert math.isinf(Poisson(1.0).exp_abscissa())
+    assert math.isinf(Weibull(2.0, 1.0).exp_abscissa())
+    assert Weibull(1.0, 2.0).exp_abscissa() == pytest.approx(0.5)
+    assert Weibull(0.5, 1.0).exp_abscissa() == 0.0
+    assert InverseGamma(1.5, 1.0).exp_abscissa() == 0.0
+    assert LogPareto(0.5).exp_abscissa() == 0.0
+    assert math.isinf(PointMass(3.0).exp_abscissa())
 
 
 def test_log_pareto_tail_properties():
     heavy = LogPareto(0.5)
     assert math.isinf(heavy.log_plus_abs_moment())
-    assert math.isinf(abs_moment(heavy, 0.1))
+    assert math.isinf(heavy.abs_moment(0.1))
     light = LogPareto(2.0)
     # E log X = index / (index - 1) for index > 1
     assert light.log_plus_abs_moment() == pytest.approx(2.0)
-    assert math.isinf(abs_moment(light, 0.5))
+    assert math.isinf(light.abs_moment(0.5))
     assert heavy.cdf(math.e) == pytest.approx(0.0)
     assert heavy.cdf(math.exp(4.0)) == pytest.approx(1.0 - 4.0 ** -0.5)
 
@@ -229,10 +228,10 @@ def test_restricted_factorization_identity():
     q = Exponential(1.5)
     j = Independent(m, q)
     for s in (0.0, 0.3, 1.0):
-        want = exp_moment(q, s) * event_prob(j, "M=1")
+        want = q.exp_moment(s) * event_prob(j, "M=1")
         assert restricted_exp_moment(j, s, +1, 1.0) == pytest.approx(want, rel=1e-12)
-        wantm = exp_moment(q, -s) * event_prob(j, "M=-1") if s == 0 else \
-            exp_moment(q, -s) * 0.2
+        wantm = q.exp_moment(-s) * event_prob(j, "M=-1") if s == 0 else \
+            q.exp_moment(-s) * 0.2
         assert restricted_exp_moment(j, s, -1, -1.0) == pytest.approx(wantm, rel=1e-12)
 
 
@@ -243,7 +242,7 @@ def test_exp_moment_monotone_in_s_for_nonneg_laws(s1, s2):
     lo, hi = sorted((s1, s2))
     for law in (Exponential(2.5), Gamma(2.0, 3.0), Beta(1.5, 1.5),
                 UniformDiscreteRange(3), Poisson(1.0)):
-        assert exp_moment(law, lo) <= exp_moment(law, hi) * (1 + 1e-12)
+        assert law.exp_moment(lo) <= law.exp_moment(hi) * (1 + 1e-12)
 
 
 @given(st.sampled_from([-1, 1]), st.sampled_from([1.0, -1.0, 0.5]))

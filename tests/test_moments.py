@@ -12,11 +12,16 @@ from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
 from perpetua.moments import (REGIME_BOUNDARY, REGIME_CONTRACTING,
                               REGIME_EXPANDING, cauchy_hadamard_detail,
                               cauchy_hadamard_estimate, classify_regime,
-                              exp_example_moment, exp_feasible_at,
-                              exp_perpetuity_moment, p_moment_criterion,
+                              exp_feasible_at, exp_perpetuity_moment,
+                              p_moment_criterion,
                               r_of_perpetuity, r_star, zstar_bound)
 
 BOUNDARY = Independent(FiniteDiscrete((1.0, 0.5), (0.5, 0.5)), Exponential(2.0))
+# probabilities that sum to 0.9999999999999999, one ulp below 1
+ROUNDED_CONTRACTING = Independent(
+    FiniteDiscrete((0.5, 0.2, 0.1), (0.7, 0.2, 0.1)), Exponential(2.0))
+ROUNDED_BOUNDARY = Independent(
+    FiniteDiscrete((1.0, 0.2, 0.1), (0.7, 0.2, 0.1)), Exponential(2.0))
 TWO_SCALE = Independent(FiniteDiscrete((3.0, 0.05), (0.25, 0.75)), Exponential(1.0))
 
 
@@ -83,8 +88,14 @@ def test_classify_regime_three_ways():
     assert classify_regime(
         Independent(FiniteDiscrete((2.0, 0.1), (0.2, 0.8)), Exponential(1.0))) \
         == REGIME_EXPANDING
+    assert classify_regime(ROUNDED_CONTRACTING) == REGIME_CONTRACTING
+    assert classify_regime(ROUNDED_BOUNDARY) == REGIME_BOUNDARY
     with pytest.raises(PreconditionError):
         classify_regime(Independent(SignedRademacher(1.0), Exponential(1.0)))
+    # cdf(1) - P{M=1} - cdf(-1) leaves 5.6e-17 here; the atoms leave 0
+    with pytest.raises(PreconditionError):
+        classify_regime(
+            Independent(FiniteDiscrete((-1.0, 1.0), (0.3, 0.7)), Exponential(1.0)))
 
 
 def test_exp_feasible_at_boundary_example():
@@ -157,6 +168,9 @@ def test_r_of_perpetuity_contracting():
     assert math.isinf(res.r_star)
     assert res.r_z == 3.0
     assert res.boundary_detail is None and res.bisection_trace is None
+    res = r_of_perpetuity(ROUNDED_CONTRACTING)
+    assert res.regime == REGIME_CONTRACTING
+    assert res.r_z == 2.0
 
 
 def test_r_of_perpetuity_boundary():
@@ -168,6 +182,10 @@ def test_r_of_perpetuity_boundary():
     assert res.boundary_detail is not None
     assert res.boundary_detail["a_plus"] == pytest.approx(1.0, abs=1e-6)
     assert res.bisection_trace is not None
+    # P{M = 1} = 0.7 with Q ~ Exp(2): a_+(s) < 1 iff s < 2 (1 - 0.7)
+    res = r_of_perpetuity(ROUNDED_BOUNDARY)
+    assert res.regime == REGIME_BOUNDARY
+    assert res.r_z == pytest.approx(0.6, abs=1e-6)
 
 
 def test_r_of_perpetuity_expanding():
@@ -199,11 +217,16 @@ def test_bisection_trace_is_nested_and_converged():
 def test_exp_moment_formula_uniform_example():
     u = UniformContinuous(0.0, 1.0)
     # E M^k = 1/(k+1) so prod (1 - E M^k) telescopes to 1/(n+1)
-    assert exp_example_moment(1.0, u, 1) == pytest.approx(2.0)
-    assert exp_example_moment(1.0, u, 2) == pytest.approx(6.0)
-    assert exp_example_moment(1.0, u, 3) == pytest.approx(24.0)
-    assert exp_example_moment(2.0, u, 2) == pytest.approx(6.0 / 4.0)
-    assert exp_example_moment is exp_perpetuity_moment
+    assert exp_perpetuity_moment(1.0, u, 1) == pytest.approx(2.0)
+    assert exp_perpetuity_moment(1.0, u, 2) == pytest.approx(6.0)
+    assert exp_perpetuity_moment(1.0, u, 3) == pytest.approx(24.0)
+    assert exp_perpetuity_moment(2.0, u, 2) == pytest.approx(6.0 / 4.0)
+
+
+def test_exp_moment_formula_rounded_probabilities():
+    # E M = 0.4, so E Z = E Q / (1 - E M) = 0.5 / 0.6
+    law_m = ROUNDED_CONTRACTING.law_m
+    assert exp_perpetuity_moment(2.0, law_m, 1) == pytest.approx(0.5 / 0.6, rel=1e-12)
 
 
 def test_exp_moment_formula_preconditions():
@@ -222,7 +245,7 @@ def test_exp_moment_formula_preconditions():
 
 def test_cauchy_hadamard_from_exact_uniform_moments():
     u = UniformContinuous(0.0, 1.0)
-    ms = [exp_example_moment(1.0, u, n) for n in range(1, 11)]
+    ms = [exp_perpetuity_moment(1.0, u, n) for n in range(1, 11)]
     est = cauchy_hadamard_estimate(ms)
     # power-series coefficients are n + 1, so the last ratio is 10/11
     assert est == pytest.approx(10.0 / 11.0)
