@@ -10,7 +10,9 @@ Configs are JSON joint-law objects, optionally carrying sampler settings:
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage, config or output-path error, 3 non-convergent perpetuity when
 simulation was requested, 4 truncation-quality failure (max_terms exhaustion
-above 1%).  The commands raise; ``main`` maps each error to its code once.
+or non-finite draws above 1%).  The commands raise; ``main`` maps each error
+to its code once.  Output is strict JSON: infinities print as "inf"/"-inf"
+and NaN as null.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import LawValidationError, NonConvergentError, PreconditionError
 from .existence import existence_report
 from .laws import joint_from_json, joint_to_json
-from .moments import p_moment_criterion, r_of_perpetuity
+from .moments import _ext, p_moment_criterion, r_of_perpetuity
 from .sampling import (DEFAULT_EPSILON, DEFAULT_MAX_TERMS, PerpetuityConfig,
                        fixed_point_residual, sample_batch, to_csv)
 from .verify import CHECKS, run_check
@@ -33,7 +37,7 @@ _EXIT_USAGE = 2
 _EXIT_NON_CONVERGENT = 3
 _EXIT_TRUNCATION = 4
 
-_EXHAUSTION_RATE_LIMIT = 0.01
+_DEFECT_RATE_LIMIT = 0.01      # share of exhausted or of non-finite draws
 
 
 class _UsageError(Exception):
@@ -73,11 +77,23 @@ def _build_config(obj: dict, epsilon=None, max_terms=None, seed=None) -> Perpetu
         raise LawValidationError(f"config: {exc}") from None
 
 
+def _json_safe(obj):
+    """``obj`` with every float passed through the shared ``_ext`` encoding."""
+    if isinstance(obj, float):
+        return _ext(obj)
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
 def _emit(payload, compact: bool, out: str | None) -> None:
+    payload = _json_safe(payload)
     if compact:
-        text = json.dumps(payload, separators=(",", ":"))
+        text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
     else:
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -129,12 +145,18 @@ def cmd_simulate(config_path: str, n: int, seed=None, out_csv=None,
     if check_fixed_point and n > 0:
         summary["fixed_point_residual"] = fixed_point_residual(cfg, n, workers)
     _emit(summary, compact, None)
-    if n > 0 and emp.n_exhausted / n > _EXHAUSTION_RATE_LIMIT:
+    code = _EXIT_OK
+    if n > 0 and emp.n_exhausted / n > _DEFECT_RATE_LIMIT:
         print(f"error: {emp.n_exhausted} of {n} samples exhausted max_terms="
               f"{cfg.max_terms}; increase max_terms or loosen epsilon",
               file=sys.stderr)
-        return _EXIT_TRUNCATION
-    return _EXIT_OK
+        code = _EXIT_TRUNCATION
+    nonfinite = n - int(np.count_nonzero(np.isfinite(emp.samples)))
+    if n > 0 and nonfinite / n > _DEFECT_RATE_LIMIT:
+        print(f"error: {nonfinite} of {n} samples are not finite (the series "
+              f"overflowed float64)", file=sys.stderr)
+        code = _EXIT_TRUNCATION
+    return code
 
 
 def cmd_verify(name: str, seed: int = 0, n=None, compact=True) -> int:
@@ -193,6 +215,8 @@ def main(argv=None) -> int:
     try:
         if args.n is not None and args.n < 0:
             raise _UsageError("--n must be nonnegative")
+        if args.command == "verify" and args.n is not None and args.n < 1:
+            raise _UsageError("verify --n must be at least 1")
         if args.command == "analyze":
             return cmd_analyze(args.config, args.p, n=args.n, seed=args.seed,
                                epsilon=args.epsilon, max_terms=args.max_terms,
@@ -206,7 +230,7 @@ def main(argv=None) -> int:
                                 check_fixed_point=args.check_fixed_point,
                                 compact=args.json, workers=args.workers)
         return cmd_verify(args.example, seed=args.seed, n=args.n)
-    except (_UsageError, LawValidationError) as exc:
+    except (_UsageError, LawValidationError, PreconditionError) as exc:
         code, msg = _EXIT_USAGE, str(exc)
     except NonConvergentError as exc:
         code, msg = _EXIT_NON_CONVERGENT, str(exc)

@@ -35,8 +35,8 @@ _BRACKET_CAP = 1e18
 
 
 def _ext(x):
-    """JSON-safe extended real."""
-    if x is None:
+    """JSON-safe extended real: +-inf as "inf"/"-inf", NaN as null."""
+    if x is None or math.isnan(x):
         return None
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"

@@ -11,6 +11,18 @@ Batches draw sample i from the dedicated stream (seed, stream_id=i), so the
 result is a pure function of (config, n) no matter how the work is chunked
 across workers.  The environment variable PERPETUA_THREADS caps the worker
 count.
+
+The series arithmetic lives in one kernel, ``_accumulate``, which runs many
+paths over rows of _BLOCK pairs at once and gives each row exactly the
+floating-point operations of one lone _BLOCK-pair block, in the same order.
+A batch chunk is a wavefront: every draw of a sub-chunk draws its first k
+rows from its own re-keyed streams (see ``streams.LanePool``), one kernel
+call covers them all, and draws still running re-draw those rows and go on
+alone in super-blocks of doubling size (``_draw_one``, which is also the
+single-draw path).  Since numpy's samplers give the same values whether a
+stream is read in one block or several, every sample equals the one the
+plain per-draw, block-at-a-time loop produces, bit for bit; k only changes
+how fast that happens.
 """
 
 from __future__ import annotations
@@ -26,12 +38,16 @@ from .errors import NonConvergentError, PerpetuaError, PreconditionError
 from .existence import (VERDICT_CONVERGES, VERDICT_DEGENERATE,
                         VERDICT_EXACT_STOP, existence_report)
 from .laws import JointLaw, joint_to_json
-from .streams import RandomStream, derive_seed
+from .streams import LanePool, RandomStream, derive_seed
 
 DEFAULT_EPSILON = 1e-15
 DEFAULT_MAX_TERMS = 10 ** 6
 
 _BLOCK = 48
+_WAVE = 2 ** 14                      # elements in one working array of a wavefront
+_MAX_ROWS = _WAVE // _BLOCK
+_WAVE_QUANTILE = 0.95                # rows cover this share of the term counts seen
+_FIRST_WAVE = 32                     # draws before the first term counts are known
 _CF_CHUNK = 64
 
 _SAMPLEABLE = (VERDICT_CONVERGES, VERDICT_EXACT_STOP, VERDICT_DEGENERATE)
@@ -111,31 +127,102 @@ class Trajectory:
     kind: str  # "backward-partial-sums" or "forward-ifs"
 
 
-def _draw_one(joint: JointLaw, epsilon: float, max_terms: int,
-              stream: RandomStream) -> SampleOutcome:
-    """Accumulate the series along one path, drawing pairs in blocks."""
-    total = 0.0
-    pi = 1.0
-    terms = 0
-    while terms < max_terms:
-        block = min(_BLOCK, max_terms - terms)
-        ms, qs = joint.draw_pairs(stream, block)
-        cp = np.cumprod(ms)
-        weights = np.empty(block)
-        weights[0] = pi
-        np.multiply(pi, cp[:-1], out=weights[1:])
-        contrib = weights * qs
-        run = pi * cp
-        stop = np.flatnonzero((ms == 0.0) | (np.abs(run) <= epsilon))
-        if stop.size:
-            j = int(stop[0])
-            total += float(np.sum(contrib[: j + 1]))
-            terms += j + 1
-            return SampleOutcome(total, terms, truncated=ms[j] != 0.0, exhausted=False)
-        total += float(np.sum(contrib))
-        pi = float(run[-1])
-        terms += block
-    return SampleOutcome(total, terms, truncated=True, exhausted=True)
+def _accumulate(ms: np.ndarray, qs: np.ndarray, epsilon: float, pi: np.ndarray,
+                total: np.ndarray, end: int | None):
+    """Run paths over rows of _BLOCK pairs; the series arithmetic of the sampler.
+
+    ``ms`` and ``qs`` are (paths, rows, _BLOCK); ``pi`` and ``total`` are the
+    running product and partial sum each path carries into its first row.
+    ``end`` is the column of the last row that holds term max_terms, or None
+    when the rows stop short of it; columns after it are padding.  Every row
+    gets the operations of one lone block, in order: a cumulative product
+    along the row, the product carried into the next row, and row sums folded
+    into the total one after another from the left.  A path stops at its
+    first zero factor or first |product| <= epsilon, and the partial sum of
+    its stopping row covers the columns up to the stop.
+
+    Returns (stop, value, truncated, exhausted, pi, total) per path: the
+    flat index of the stopping pair (-1 when the path runs on), its value,
+    its stop flags, and the product and total to carry into further rows.
+    """
+    paths, rows, _ = ms.shape
+    # two working arrays, updated in place: run (the products) and contrib
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = np.cumprod(ms, axis=2)
+        pis = np.cumprod(np.concatenate([pi[:, None], run[:, :, -1]], axis=1), axis=1)
+        run *= pis[:, :-1, None]
+        contrib = np.empty_like(run)
+        contrib[:, :, 0] = pis[:, :-1]
+        contrib[:, :, 1:] = run[:, :, :-1]
+        contrib *= qs
+        totals = np.cumsum(np.concatenate([total[:, None], contrib.sum(axis=2)], axis=1),
+                           axis=1)
+        hit = np.abs(run, out=run) <= epsilon
+        hit |= ms == 0.0
+        hit = hit.reshape(paths, -1)
+        del run
+    # padding repeats the product of the column before it, so a path never
+    # first stops in the padding
+    stop = hit.argmax(axis=1)
+    running = ~hit[np.arange(paths), stop]
+    stop[running] = -1 if end is None else (rows - 1) * _BLOCK + end
+    exhausted = running & (end is not None)
+    value = np.full(paths, np.nan)
+    truncated = exhausted.copy()
+    done = np.flatnonzero(stop >= 0)
+    if done.size:
+        at = stop[done]
+        truncated[done] |= ms.reshape(paths, -1)[done, at] != 0.0
+        # np.sum's pairwise order depends on the length summed, so each
+        # partial sum runs over exactly the stop's columns: group by column
+        order = np.argsort(at % _BLOCK, kind="stable")
+        done, (row, col) = done[order], np.divmod(at[order], _BLOCK)
+        stopping = contrib.reshape(-1, _BLOCK)[done * rows + row]
+        partial = np.empty(done.size)
+        cuts = [0, *(np.flatnonzero(np.diff(col)) + 1).tolist(), done.size]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            partial[a:b] = stopping[a:b, : col[a] + 1].sum(axis=1)
+        value[done] = totals[done, row] + partial
+    return stop, value, truncated, exhausted, pis[:, -1], totals[:, -1]
+
+
+def _draw_one(joint: JointLaw, epsilon: float, max_terms: int, stream: RandomStream,
+              rows: int = 1, skip: int = 0, pi: float = 1.0,
+              total: float = 0.0) -> SampleOutcome:
+    """Accumulate the series along one path in super-blocks of doubling size.
+
+    The first super-block has ``rows`` rows of _BLOCK pairs (at most
+    _MAX_ROWS, like every later one).  A path that has
+    already run ``skip`` full rows elsewhere, ending with product ``pi`` and
+    partial sum ``total``, re-draws those rows' pairs and discards them.
+    """
+    if skip:
+        joint.draw_pairs(stream, skip * _BLOCK)
+    done = skip * _BLOCK
+    carry = np.array([pi]), np.array([total])
+    while True:
+        size = min(rows * _BLOCK, max_terms - done)
+        ms, qs = _rows(*joint.draw_pairs(stream, size))
+        end = (size - 1) % _BLOCK if done + size == max_terms else None
+        stop, value, truncated, exhausted, *carry = _accumulate(
+            ms[None], qs[None], epsilon, *carry, end)
+        if stop[0] >= 0:
+            return SampleOutcome(float(value[0]), done + int(stop[0]) + 1,
+                                 truncated=bool(truncated[0]),
+                                 exhausted=bool(exhausted[0]))
+        done += size
+        rows = min(2 * rows, _MAX_ROWS)
+
+
+def _rows(ms: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs as rows of _BLOCK, the last row padded with M = 1, Q = 0."""
+    width = -(-ms.shape[-1] // _BLOCK) * _BLOCK
+    if width != ms.shape[-1]:
+        pad = [(0, 0)] * (ms.ndim - 1) + [(0, width - ms.shape[-1])]
+        ms = np.pad(ms, pad, constant_values=1.0)
+        qs = np.pad(qs, pad, constant_values=0.0)
+    shape = ms.shape[:-1] + (-1, _BLOCK)
+    return ms.reshape(shape), qs.reshape(shape)
 
 
 def _check_sampleable(joint: JointLaw) -> None:
@@ -152,26 +239,72 @@ def sample_perpetuity(config: PerpetuityConfig, stream: RandomStream) -> SampleO
 
 
 def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
+    """Draws for stream ids ``ids`` as a wavefront of sub-chunks.
+
+    Every draw of a sub-chunk takes its first ``rows`` rows of pairs through
+    one ``_accumulate`` call; draws still running after them continue alone.
+    ``rows`` for the next sub-chunk comes from the term counts just seen.
+    """
+    joint, epsilon, max_terms = config.joint, config.epsilon, config.max_terms
     values = np.empty(len(ids))
     truncated = 0
     exhausted = 0
-    for k, i in enumerate(ids):
+    pool = LanePool()
+    rows = 1
+    pos = 0
+    while pos < len(ids):
+        rows = min(rows, _MAX_ROWS, -(-max_terms // _BLOCK))
+        size = min(rows * _BLOCK, max_terms)
+        width = min(len(ids) - pos, _WAVE // (rows * _BLOCK), max(pos, _FIRST_WAVE))
+        wave = ids[pos : pos + width]
+        ms, qs = [], []
         try:
-            out = _draw_one(config.joint, config.epsilon, config.max_terms,
-                            RandomStream(config.seed, i))
-        except Exception as exc:  # attach the failing stream id
-            raise PerpetuaError(f"sample with stream id {i} failed: {exc}") from exc
-        values[k] = out.value
-        truncated += out.truncated
-        exhausted += out.exhausted
+            for i in wave:
+                m, q = joint.draw_pairs(RandomStream(config.seed, i, pool), size)
+                ms.append(m)
+                qs.append(q)
+        except Exception as exc:
+            raise _failed(i, exc) from exc
+        ms = np.concatenate(ms).reshape(width, size)
+        qs = np.concatenate(qs).reshape(width, size)
+        ms, qs = _rows(ms, qs)
+        end = (size - 1) % _BLOCK if size == max_terms else None
+        stop, value, trunc, exh, pi, total = _accumulate(
+            ms, qs, epsilon, np.ones(width), np.zeros(width), end)
+        del ms, qs  # freed before the draws still running allocate their own
+        terms = stop + 1
+        for k in np.flatnonzero(stop < 0):
+            i = wave[k]
+            try:
+                out = _draw_one(joint, epsilon, max_terms, RandomStream(config.seed, i, pool),
+                                rows=rows, skip=rows, pi=float(pi[k]), total=float(total[k]))
+            except Exception as exc:
+                raise _failed(i, exc) from exc
+            value[k], trunc[k], exh[k], terms[k] = (out.value, out.truncated,
+                                                    out.exhausted, out.terms)
+        values[pos : pos + width] = value
+        truncated += int(trunc.sum())
+        exhausted += int(exh.sum())
+        rows = -(-int(np.quantile(terms, _WAVE_QUANTILE)) // _BLOCK)
+        pos += width
     return values, truncated, exhausted
+
+
+def _failed(stream_id: int, exc: Exception) -> PerpetuaError:
+    """A failure inside one draw, with its stream id attached."""
+    return PerpetuaError(f"sample with stream id {stream_id} failed: {exc}")
 
 
 def _worker_count(workers: int | None) -> int:
     cap = os.environ.get("PERPETUA_THREADS")
     count = 1 if workers is None else max(1, int(workers))
     if cap is not None:
-        count = min(count, max(1, int(cap)))
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise PreconditionError(
+                f"PERPETUA_THREADS must be an integer, got {cap!r}") from None
+        count = min(count, max(1, cap))
     return count
 
 

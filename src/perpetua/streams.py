@@ -10,6 +10,12 @@ The implementation keys a Philox-4x64 counter generator directly, which numpy
 documents as a supported way to create independent streams.  Each stream owns
 a small number of lanes (sub-streams) so that, for example, the two marginals
 of an independent pair can consume randomness without interleaving.
+
+Building a keyed ``Philox`` costs far more than drawing a block from it, so a
+batch that visits many streams one after another shares a ``LanePool``: one
+generator per lane whose state is reset to the stream's key, counter 0 and an
+empty buffer.  That is the state a freshly keyed generator starts in, so the
+draws are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -48,16 +54,43 @@ def derive_seed(seed: int, tag: int) -> int:
     return _splitmix64((seed & _MASK64) ^ _splitmix64(tag & _MASK64))
 
 
+class LanePool:
+    """One reusable Philox generator per lane, re-keyed for each stream.
+
+    A pooled stream's generators stay valid until another stream of the same
+    pool asks for the same lane; use one pool per thread and finish with a
+    stream before starting the next.
+    """
+
+    def __init__(self):
+        self._lanes: dict[int, tuple[Generator, dict]] = {}
+
+    def rekeyed(self, lane: int, key: tuple[int, int]) -> Generator:
+        """The lane's generator, reset to the fresh state of ``Philox(key=key)``."""
+        entry = self._lanes.get(lane)
+        if entry is None:
+            gen = Generator(Philox(key=np.array(key, dtype=np.uint64)))
+            self._lanes[lane] = (gen, gen.bit_generator.state)
+            return gen
+        gen, fresh = entry
+        fresh_key = fresh["state"]["key"]
+        fresh_key[0], fresh_key[1] = key
+        gen.bit_generator.state = fresh
+        return gen
+
+
 @dataclass(eq=True)
 class RandomStream:
     """Addressable source of randomness; a value type keyed by (seed, stream_id).
 
     ``stream_id`` is typically the index of a sample within a batch.  Ids
-    below 2**62 are guaranteed collision-free across lanes.
+    below 2**62 are guaranteed collision-free across lanes.  With a ``pool``
+    the stream re-keys the pool's generators instead of building its own.
     """
 
     seed: int
     stream_id: int = 0
+    pool: LanePool | None = field(default=None, repr=False, compare=False)
     _gens: dict = field(default_factory=dict, repr=False, compare=False)
 
     def generator(self, lane: int = LANE_MAIN) -> Generator:
@@ -66,17 +99,14 @@ class RandomStream:
         if gen is None:
             if not 0 <= lane < _N_LANES:
                 raise ValueError(f"lane must be in [0, {_N_LANES}), got {lane}")
-            key = np.array(
-                [
-                    self.seed & _MASK64,
-                    ((self.stream_id * _N_LANES) + lane) & _MASK64,
-                ],
-                dtype=np.uint64,
-            )
-            gen = Generator(Philox(key=key))
+            key = (self.seed & _MASK64, ((self.stream_id * _N_LANES) + lane) & _MASK64)
+            if self.pool is None:
+                gen = Generator(Philox(key=np.array(key, dtype=np.uint64)))
+            else:
+                gen = self.pool.rekeyed(lane, key)
             self._gens[lane] = gen
         return gen
 
     def fresh(self) -> "RandomStream":
         """A rewound copy of this stream (same address, no draws consumed)."""
-        return RandomStream(self.seed, self.stream_id)
+        return RandomStream(self.seed, self.stream_id, self.pool)

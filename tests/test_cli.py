@@ -30,6 +30,16 @@ SLOW = {
     "M": {"family": "point_mass", "params": {"value": 0.9999}},
     "Q": {"family": "point_mass", "params": {"value": 1.0}},
 }
+# converges a.s., yet about 1.3% of the draws overflow float64
+OVERFLOWING = {
+    "coupling": "independent",
+    "M": {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
+    "Q": {"family": "log_pareto", "params": {"index": 1.2}},
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
 
 
 def _write(tmp_path, obj, name="cfg.json"):
@@ -214,6 +224,28 @@ def test_simulate_exhaustion_exit_code(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 51  # CSV still written
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_non_finite_draws_strict_json_exit(tmp_path, capsys):
+    cfg = _write(tmp_path, OVERFLOWING)
+    assert main(["simulate", cfg, "--n", "20000", "--json",
+                 "--out", str(tmp_path / "z.csv")]) == 4
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out, parse_constant=_reject_constant)
+    assert summary["mean"] == "inf" and summary["max"] == "inf"
+    assert summary["variance"] is None and summary["quantiles"]["99"] is None
+    assert ["inf", 0.013] in summary["atoms"]
+    assert captured.err.startswith("error: 260 of 20000 samples are not finite")
+
+
+def test_simulate_bad_thread_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PERPETUA_THREADS", "abc")
+    cfg = _write(tmp_path, BETA_EXP)
+    assert main(["simulate", cfg, "--n", "300", "--workers", "2",
+                 "--out", str(tmp_path / "z.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: PERPETUA_THREADS") and captured.out == ""
+
+
 def test_simulate_non_convergent_exit(tmp_path, capsys):
     cfg = _write(tmp_path, EXPANDING)
     assert main(["simulate", cfg, "--n", "10",
@@ -272,15 +304,20 @@ def test_verify_small_sample_fails_honestly(capsys):
     assert any(not json.loads(line)["pass"] for line in lines)
 
 
+@pytest.mark.parametrize("name", ["geometric", "gamma"])
+def test_verify_n_zero_is_usage_error(name, capsys):
+    # an empty sample used to end in a traceback (IndexError or
+    # PreconditionError) on exit 1, the code for a failed verification
+    assert main(["verify", name, "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_verify_unknown_name_lists_valid(capsys):
     assert main(["verify", "bogus"]) == 2
     err = capsys.readouterr().err
     assert "geometric" in err and "pitman-yor" in err
     assert "singularity" in err and "fixed-point-residuals" in err
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-strict JSON constant {token}")
 
 
 def test_verify_singularity_runs_from_registry(capsys):

@@ -14,7 +14,7 @@ from perpetua.laws import (EVENTS, Beta, Exponential, FiniteDiscrete,
                            event_prob, joint_from_json, joint_to_json,
                            law_from_json, law_to_json, restricted_exp_moment,
                            sample_joint, sample_scalar)
-from perpetua.streams import RandomStream
+from perpetua.streams import LANE_M, LANE_Q, RandomStream
 
 # Density-backed families paired with their scipy counterparts; abs moments
 # are cross-checked against direct quadrature of x^p times the density.
@@ -324,6 +324,20 @@ def test_independent_draw_pairs_marginal_lanes_do_not_interact():
     m1, _ = j1.draw_pairs(RandomStream(0, 0), 100)
     m2, _ = j2.draw_pairs(RandomStream(0, 0), 100)
     np.testing.assert_array_equal(m1, m2)
+
+
+def test_point_mass_marginal_keys_no_generator():
+    stream = RandomStream(0, 0)
+    ms, qs = Independent(PointMass(0.5), Exponential(1.0)).draw_pairs(stream, 10)
+    np.testing.assert_array_equal(ms, np.full(10, 0.5))
+    assert LANE_M not in stream._gens and LANE_Q in stream._gens
+
+
+def test_weibull_survival_keeps_tiny_tails():
+    law = Weibull(2.0, 66.0 ** -0.5)
+    assert law.prob_abs_gt(1.0) == pytest.approx(math.exp(-66.0), rel=1e-12)
+    assert law.prob_abs_gt(0.0) == 1.0 and law.prob_abs_gt(-1.0) == 1.0
+    assert Weibull(0.5, 1.0).prob_abs_gt(1.0) == pytest.approx(1.0 - Weibull(0.5, 1.0).cdf(1.0))
 
 
 def test_finite_joint_draws_respect_probabilities():

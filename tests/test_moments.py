@@ -8,7 +8,7 @@ from scipy import special
 from perpetua.errors import PreconditionError
 from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
                            Gamma, Independent, PointMass, SignedRademacher,
-                           UniformContinuous)
+                           UniformContinuous, Weibull)
 from perpetua.moments import (REGIME_BOUNDARY, REGIME_CONTRACTING,
                               REGIME_EXPANDING, cauchy_hadamard_detail,
                               cauchy_hadamard_estimate, classify_regime,
@@ -90,6 +90,9 @@ def test_classify_regime_three_ways():
         == REGIME_EXPANDING
     assert classify_regime(ROUNDED_CONTRACTING) == REGIME_CONTRACTING
     assert classify_regime(ROUNDED_BOUNDARY) == REGIME_BOUNDARY
+    # P{M > 1} = e^-66 here, which 1 - cdf(1) rounds to 0
+    assert classify_regime(Independent(Weibull(2.0, 66.0 ** -0.5), Exponential(1.0))) \
+        == REGIME_EXPANDING
     with pytest.raises(PreconditionError):
         classify_regime(Independent(SignedRademacher(1.0), Exponential(1.0)))
     # cdf(1) - P{M=1} - cdf(-1) leaves 5.6e-17 here; the atoms leave 0

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from perpetua.streams import (LANE_M, LANE_MAIN, LANE_Q, RandomStream,
-                              derive_seed)
+from perpetua.streams import (LANE_M, LANE_MAIN, LANE_Q, LanePool,
+                              RandomStream, derive_seed)
 
 
 def test_same_address_is_bit_identical():
@@ -54,6 +54,29 @@ def test_stream_id_lane_packing_never_collides():
     a = RandomStream(seed=3, stream_id=0).generator(LANE_Q).random(32)
     b = RandomStream(seed=3, stream_id=1).generator(LANE_MAIN).random(32)
     assert not np.array_equal(a, b)
+
+
+def test_pooled_streams_match_fresh_generators():
+    # a pooled stream re-keys one generator per lane; a draw that leaves a
+    # half-used 32-bit word buffered must not leak into the next stream
+    pool = LanePool()
+    for sid in (0, 1, 2, 2**40, 7):
+        for lane in (LANE_M, LANE_Q, LANE_MAIN):
+            pooled = RandomStream(11, sid, pool).generator(lane)
+            fresh = RandomStream(11, sid).generator(lane)
+            np.testing.assert_array_equal(pooled.integers(0, 2, 47),
+                                          fresh.integers(0, 2, 47))
+            np.testing.assert_array_equal(pooled.random(5), fresh.random(5))
+
+
+def test_pooled_stream_keeps_its_generator_until_reused():
+    pool = LanePool()
+    s = RandomStream(4, 3, pool)
+    first = s.generator().random(8)
+    second = s.generator().random(8)
+    np.testing.assert_array_equal(np.concatenate([first, second]),
+                                  RandomStream(4, 3).generator().random(16))
+    np.testing.assert_array_equal(s.fresh().generator().random(8), first)
 
 
 def test_derive_seed_deterministic_and_spread():
