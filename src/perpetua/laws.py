@@ -1069,7 +1069,7 @@ def _as_number(x, path: str, integer: bool = False):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise LawValidationError(f"{path}: expected a number, got {x!r}")
     if integer:
-        if isinstance(x, float) and x != int(x):
+        if isinstance(x, float) and not (math.isfinite(x) and x == int(x)):
             raise LawValidationError(f"{path}: expected an integer, got {x!r}")
         return int(x)
     return float(x)

@@ -139,8 +139,12 @@ def p_moment_criterion(joint: JointLaw, p: float) -> MomentReport:
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise PreconditionError(f"p must be a finite real > 0, got {p!r}")
     _require_nondegenerate(joint, "p_moment_criterion")
-    m_pow = joint.marginal_m().abs_moment(p)
-    q_pow = joint.marginal_q().abs_moment(p)
+    try:
+        m_pow = joint.marginal_m().abs_moment(p)
+        q_pow = joint.marginal_q().abs_moment(p)
+    except OverflowError:
+        raise PreconditionError(
+            f"E|M|^p or E|Q|^p exceeds the float range at p = {p!r}") from None
     finite = m_pow < 1.0 and math.isfinite(q_pow)
     bound = zstar_bound(joint, p) if finite else math.inf
     return MomentReport(float(p), m_pow, q_pow, finite, bound)
@@ -151,17 +155,20 @@ def zstar_bound(joint: JointLaw, p: float) -> float:
 
     E|Q|^p / (1 - E|M|^p) for p <= 1 (subadditivity of x^p); the Minkowski
     form (||Q||_p / (1 - ||M||_p))^p for p > 1.  Returns +inf when
-    E|M|^p >= 1 or E|Q|^p = inf.
+    E|M|^p >= 1 or E|Q|^p = inf, and when the bound exceeds the float range.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise PreconditionError(f"p must be a finite real > 0, got {p!r}")
-    m_pow = joint.marginal_m().abs_moment(p)
-    q_pow = joint.marginal_q().abs_moment(p)
-    if m_pow >= 1.0 or not math.isfinite(q_pow):
+    try:
+        m_pow = joint.marginal_m().abs_moment(p)
+        q_pow = joint.marginal_q().abs_moment(p)
+        if m_pow >= 1.0 or not math.isfinite(q_pow):
+            return math.inf
+        if p <= 1.0:
+            return q_pow / (1.0 - m_pow)
+        return (q_pow ** (1.0 / p) / (1.0 - m_pow ** (1.0 / p))) ** p
+    except OverflowError:  # a moment or the bound itself exceeds the float range
         return math.inf
-    if p <= 1.0:
-        return q_pow / (1.0 - m_pow)
-    return (q_pow ** (1.0 / p) / (1.0 - m_pow ** (1.0 / p))) ** p
 
 
 def _boundary_terms(joint: JointLaw, s: float) -> tuple[float, float, float, float]:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perpetua.cli import entry, main
 
@@ -328,6 +334,105 @@ def test_verify_singularity_runs_from_registry(capsys):
     for line in lines:
         result = json.loads(line, parse_constant=_reject_constant)
         assert result["oracle"] == "bernoulli-convolution"
+
+
+# --- property: every analyze input maps to a documented exit code -----------
+
+_pos = st.floats(0.1, 4.0)
+_VALID_PARAMS = {
+    "point_mass": {"value": st.floats(-3.0, 3.0)},
+    "exponential": {"rate": _pos}, "gamma": {"shape": _pos, "rate": _pos},
+    "beta": {"alpha": _pos, "beta": _pos}, "weibull": {"shape": _pos, "scale": _pos},
+    "poisson": {"mean": _pos}, "inverse_gamma": {"shape": _pos, "scale": _pos},
+    "signed_rademacher": {"scale": _pos}, "log_pareto": {"index": _pos},
+    "uniform_discrete_range": {"n": st.integers(1, 6)},
+}
+# zero, negatives, non-finite values, wrong types
+_bad_numbers = st.sampled_from([0.0, -1.0, float("nan"), float("inf"), "1", None, True])
+
+
+@st.composite
+def _probs(draw, k):
+    w = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    return [x / sum(w) for x in w]
+
+
+@st.composite
+def _laws(draw):
+    """A valid law object, or one with a single defect."""
+    family = draw(st.sampled_from(sorted(_VALID_PARAMS) + ["uniform", "finite_discrete"]))
+    if family == "uniform":
+        lo = draw(st.floats(-2.0, 2.0))
+        params = {"lo": lo, "hi": lo + draw(_pos)}
+    elif family == "finite_discrete":
+        values = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3, unique=True))
+        params = {"values": values, "probs": draw(_probs(len(values)))}
+    else:
+        params = {k: draw(v) for k, v in _VALID_PARAMS[family].items()}
+    defect = draw(st.integers(0, 9))
+    if defect == 0:
+        params[draw(st.sampled_from(sorted(params)))] = draw(_bad_numbers)
+    elif defect == 1:
+        params["extra"] = 1.0
+    elif defect == 2:
+        return {"family": draw(st.sampled_from(["cauchy", "", 3])), "params": params}
+    return {"family": family, "params": params}
+
+
+@st.composite
+def _configs(draw):
+    """Config text: valid, with one defect in a law or a key, or cut short."""
+    kind = draw(st.sampled_from(["independent", "independent", "finite_joint",
+                                 "malformed"]))
+    if kind == "independent":
+        obj = {"coupling": "independent", "M": draw(_laws()), "Q": draw(_laws())}
+    elif kind == "finite_joint":
+        k = draw(st.integers(1, 3))
+        probs = draw(_probs(k))
+        obj = {"coupling": "finite_joint",
+               "atoms": [[draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)), p]
+                         for p in probs]}
+        if draw(st.integers(0, 3)) == 0:
+            obj["atoms"][0][draw(st.integers(0, 2))] = draw(_bad_numbers)
+    else:
+        obj = draw(st.sampled_from([[], "beta", 3, None, {"coupling": "other"},
+                                    {"M": "x", "Q": {}}, {"coupling": "independent"},
+                                    {"coupling": "finite_joint", "atoms": []}]))
+    if isinstance(obj, dict):
+        for key, values in (("epsilon", st.sampled_from([1e-12, 0.0, 2.0, "x"])),
+                            ("max_terms", st.sampled_from([200, 0, 1.5])),
+                            ("seed", st.sampled_from([0, 7, -1, "s"]))):
+            if draw(st.integers(0, 5)) == 0:
+                obj[key] = draw(values)
+    text = json.dumps(obj)  # writes NaN/Infinity, which json.load accepts
+    return text if draw(st.integers(0, 9)) else text[: len(text) // 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_configs(),
+       ps=st.lists(st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, 40.0]), max_size=3),
+       n=st.sampled_from([None, None, 0, 25]),
+       compact=st.booleans())
+def test_analyze_any_config_exit_code_and_strict_json(text, ps, n, compact):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["analyze", path] + [a for p in ps for a in ("--p", str(p))]
+        if n is not None:
+            argv += ["--n", str(n), "--max-terms", "300"]
+        if compact:
+            argv.append("--json")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert {"config", "existence", "moments", "abscissa"} <= set(report)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
 
 
 # --- parser plumbing ---------------------------------------------------------

@@ -300,8 +300,16 @@ def test_joint_json_round_trip():
     ({"coupling": "finite_joint", "atoms": []}, "config.atoms: required nonempty array"),
     ({"coupling": "finite_joint", "atoms": [[1.0, 2.0]]},
      "config.atoms[0]: expected [m, q, prob]"),
+    ({"coupling": "independent",
+      "M": {"family": "uniform_discrete_range", "params": {"n": math.inf}},
+      "Q": {"family": "point_mass", "params": {"value": 1}}},
+     "config.M.params.n: expected an integer"),
+    ({"coupling": "independent",
+      "M": {"family": "uniform_discrete_range", "params": {"n": math.nan}},
+      "Q": {"family": "point_mass", "params": {"value": 1}}},
+     "config.M.params.n: expected an integer"),
 ], ids=["missing-Q", "missing-M", "bad-coupling", "bad-family", "bad-param",
-        "wrong-param-name", "empty-atoms", "short-atom"])
+        "wrong-param-name", "empty-atoms", "short-atom", "inf-integer", "nan-integer"])
 def test_json_errors_name_the_offending_path(obj, needle):
     with pytest.raises(LawValidationError) as e:
         joint_from_json(obj, "config")

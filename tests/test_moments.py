@@ -63,6 +63,16 @@ def test_zstar_bound_infinite_when_criterion_fails():
     assert math.isfinite(zstar_bound(heavy, 1.0))
 
 
+def test_moments_beyond_float_range_are_refused_not_raised():
+    # E|Q|^400 = 400! is finite but exceeds float64, and so does 3^1000
+    tail = Independent(PointMass(0.5), Weibull(1.0, 1.0))
+    big_m = Independent(FiniteDiscrete((3.0, 0.1), (0.5, 0.5)), Exponential(1.0))
+    for joint, p in ((tail, 400.0), (big_m, 1000.0)):
+        with pytest.raises(PreconditionError, match="float range"):
+            p_moment_criterion(joint, p)
+        assert math.isinf(zstar_bound(joint, p))
+
+
 def test_moment_report_json_extended_reals():
     d = p_moment_criterion(TWO_SCALE, 2.0).to_json()
     assert d["zstar_bound"] == "inf"

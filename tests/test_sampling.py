@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from perpetua.errors import (NonConvergentError, PerpetuaError,
                              PreconditionError)
 from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
                            Independent, PointMass, UniformContinuous)
-from perpetua.sampling import (EmpiricalDistribution, PerpetuityConfig,
+from perpetua.sampling import (_CF_SPACING, EmpiricalDistribution,
+                               PerpetuityConfig, _cf_parts,
                                atom_scan, cf_modulus_grid, empirical_cf,
                                empirical_moment, fixed_point_residual,
                                forward_iterate, ks_distance,
@@ -204,6 +206,24 @@ def test_empirical_distribution_statistics():
                       "min", "max", "quantiles", "atoms"}
 
 
+def test_summary_of_infinite_samples_warns_nothing():
+    for values in ([1.0, 2.0, 3.0, np.inf, np.inf], [-np.inf, 1.0, np.inf]):
+        emp = _emp(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = emp.summary()
+            emp.mean(), emp.variance(), emp.quantile(0.99)
+        assert math.isnan(s["variance"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100, 1001])
+def test_summary_quantiles_equal_single_quantiles(n):
+    emp = _emp(np.random.default_rng(n).standard_cauchy(n))
+    qs = emp.summary()["quantiles"]
+    assert qs == {str(p): float(np.quantile(emp.samples, p / 100))
+                  for p in (1, 5, 25, 50, 75, 95, 99)}
+
+
 def test_empty_empirical_distribution_guards():
     emp = _emp([])
     with pytest.raises(PreconditionError):
@@ -220,6 +240,90 @@ def test_empirical_cf_and_grid():
     grid = cf_modulus_grid(emp, np.array([0.0, 1.0]))
     assert grid[0] == pytest.approx(1.0)
     assert grid[1] == pytest.approx(math.sqrt(0.5))
+
+
+def _cf_direct(x, ts):
+    """Reference CF: a cos and a sin of every product, a few t at a time."""
+    re = np.empty(ts.size)
+    im = np.empty(ts.size)
+    with np.errstate(invalid="ignore"):
+        for a in range(0, ts.size, 16):
+            tx = np.multiply.outer(ts[a : a + 16], x)
+            re[a : a + 16] = np.cos(tx).mean(axis=1)
+            im[a : a + 16] = np.sin(tx).mean(axis=1)
+    return re, im
+
+
+def _cf_deviation(x, ts):
+    re, im = _cf_parts(x, ts)
+    want_re, want_im = _cf_direct(x, ts)
+    return float(np.max(np.hypot(re - want_re, im - want_im)))
+
+
+def _assert_cf_near_direct(x, ts):
+    """Within a few ulp per rotation step plus the rounding of t * x."""
+    eps = np.finfo(float).eps
+    bound = 4 * eps * (_CF_SPACING + np.max(np.abs(ts)) * np.max(np.abs(x)))
+    assert _cf_deviation(x, ts) <= bound
+
+
+def test_cf_rotation_matches_direct_on_battery_grids():
+    # the samples and grids of check_singularity and check_uniform_symmetric
+    rng = np.random.default_rng(0)
+    signs = rng.integers(0, 2, (10 ** 5, 36)) * 2.0 - 1.0
+    bern = signs @ (1.0 / 3.0) ** np.arange(36)
+    unif = rng.uniform(-2.0, 2.0, 10 ** 5)
+    for x, ts in ((bern, np.arange(2.0, 300.0 + 0.125, 0.25)),
+                  (unif, np.arange(0.5, 100.0 + 1e-9, 0.25))):
+        # arange grids take the rotation path
+        assert np.array_equal(ts, ts[0] + np.arange(ts.size) * (ts[1] - ts[0]))
+        assert _cf_deviation(x, ts) <= 1e-12
+
+
+@pytest.mark.parametrize("ts", [
+    np.linspace(-3.0, 7.0, 250),
+    np.geomspace(0.1, 100.0, 300),                 # not arithmetic
+    np.arange(-50.0, 50.0, 0.25),                  # crosses t = 0
+    np.arange(40.0, -40.0, -0.5),                  # descending
+    np.arange(0.3, 0.3 + 0.1 * (3 * _CF_SPACING + 5), 0.1)[: 3 * _CF_SPACING + 5],
+    np.arange(1.0, 1.0 + _CF_SPACING + 1),         # one point past an anchor
+    np.array([1.7]),
+    np.array([-2.5]),
+])
+def test_cf_rotation_matches_direct_on_other_grids(ts):
+    x = np.random.default_rng(1).standard_normal(3000)
+    _assert_cf_near_direct(x, ts)
+
+
+def test_cf_rotation_large_samples():
+    x = np.random.default_rng(2).uniform(0.9e4, 1.1e4, 3000) * np.repeat([1, -1], 1500)
+    ts = np.arange(0.5, 40.0, 0.25)
+    _assert_cf_near_direct(x, ts)
+
+
+def test_cf_rotation_drift_stays_bounded_on_long_grids():
+    # 2e5 steps of one rotation would drift far past the bound; anchors stop it
+    x = np.random.default_rng(4).standard_normal(200)
+    ts = np.arange(0.0, 20.0, 1e-4)
+    _assert_cf_near_direct(x, ts)
+
+
+def test_cf_at_zero_is_one():
+    x = np.random.default_rng(3).standard_normal(500)
+    re, im = _cf_parts(x, np.array([0.0]))
+    assert (re[0], im[0]) == (1.0, 0.0)
+    re, im = _cf_parts(x, np.arange(0.0, 10.0, 0.5))
+    assert (re[0], im[0]) == (1.0, 0.0)
+
+
+def test_cf_of_infinite_samples_is_nan_where_direct_is():
+    x = np.array([0.5, 1.0, np.inf, -2.0, -np.inf])
+    for ts in (np.arange(0.0, 30.0, 0.25), np.array([0.0]), np.array([2.0])):
+        with np.errstate(invalid="ignore"):
+            re, im = _cf_parts(x, ts)
+        want_re, want_im = _cf_direct(x, ts)
+        np.testing.assert_array_equal(np.isnan(re), np.isnan(want_re))
+        np.testing.assert_array_equal(np.isnan(im), np.isnan(want_im))
 
 
 def test_empirical_moment():
