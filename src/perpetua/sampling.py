@@ -474,11 +474,9 @@ def _cf_parts(x: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arithmetic = size > 1 and np.array_equal(ts, ts[0] + np.arange(size) * h)
     spacing = _CF_SPACING if arithmetic else 1
     if spacing > 1:
-        hx = h * x
         step = np.empty(n, dtype=complex)
-        np.cos(hx, out=step.real)
-        np.sin(hx, out=step.imag)
-        del hx
+        np.cos(h * x, out=step.real)
+        np.sin(h * x, out=step.imag)
     anchors = np.arange(0, size, spacing)
     rows = max(1, _CF_ELEMENTS // n)
     work = np.empty((min(rows, anchors.size), n), dtype=complex)
