@@ -8,7 +8,7 @@ Configs are JSON joint-law objects, optionally carrying sampler settings:
      "epsilon": 1e-15, "max_terms": 1000000, "seed": 0}
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage, config or output-path error, 3 non-convergent perpetuity when
+2 usage, config, output-path or draw error, 3 non-convergent perpetuity when
 simulation was requested, 4 truncation-quality failure (max_terms exhaustion
 or non-finite draws above 1%).  The commands raise; ``main`` maps each error
 to its code once.  Output is strict JSON: infinities print as "inf"/"-inf"
@@ -23,7 +23,8 @@ import sys
 
 import numpy as np
 
-from .errors import LawValidationError, NonConvergentError, PreconditionError
+from .errors import (LawValidationError, NonConvergentError, PerpetuaError,
+                     PreconditionError)
 from .existence import existence_report
 from .laws import joint_from_json, joint_to_json
 from .moments import _ext, p_moment_criterion, r_of_perpetuity
@@ -103,7 +104,7 @@ def _emit(payload, compact: bool, out: str | None) -> None:
 
 def cmd_analyze(config_path: str, p_list, n=None, seed=None, epsilon=None,
                 max_terms=None, out=None, compact=False,
-                check_fixed_point=False, workers=None) -> int:
+                check_fixed_point=False) -> int:
     """Existence, moment, and abscissa report; optional sampling summary."""
     cfg = _build_config(_read_config(config_path), epsilon, max_terms, seed)
     rep = existence_report(cfg.joint)
@@ -124,10 +125,10 @@ def cmd_analyze(config_path: str, p_list, n=None, seed=None, epsilon=None,
     except PreconditionError as exc:
         report["abscissa"] = {"refused": str(exc)}
     if n is not None:
-        emp = sample_batch(cfg, n, workers)
+        emp = sample_batch(cfg, n)
         summary = emp.summary() if n > 0 else {"n": 0}
         if check_fixed_point and n > 0:
-            summary["fixed_point_residual"] = fixed_point_residual(cfg, n, workers)
+            summary["fixed_point_residual"] = fixed_point_residual(cfg, n)
         report["sample_summary"] = summary
     _emit(report, compact, out)
     return _EXIT_OK
@@ -135,15 +136,15 @@ def cmd_analyze(config_path: str, p_list, n=None, seed=None, epsilon=None,
 
 def cmd_simulate(config_path: str, n: int, seed=None, out_csv=None,
                  epsilon=None, max_terms=None, check_fixed_point=False,
-                 compact=False, workers=None) -> int:
+                 compact=False) -> int:
     """Draw a batch, write CSV samples, print a JSON summary."""
     cfg = _build_config(_read_config(config_path), epsilon, max_terms, seed)
-    emp = sample_batch(cfg, n, workers)
+    emp = sample_batch(cfg, n)
     if out_csv:
         to_csv(emp, out_csv)
     summary = emp.summary() if n > 0 else {"n": 0, "n_truncated": 0, "n_exhausted": 0}
     if check_fixed_point and n > 0:
-        summary["fixed_point_residual"] = fixed_point_residual(cfg, n, workers)
+        summary["fixed_point_residual"] = fixed_point_residual(cfg, n)
     _emit(summary, compact, None)
     code = _EXIT_OK
     if n > 0 and emp.n_exhausted / n > _DEFECT_RATE_LIMIT:
@@ -187,7 +188,6 @@ def _parser() -> argparse.ArgumentParser:
     pa.add_argument("--out", default=None, help="write the report here instead of stdout")
     pa.add_argument("--json", action="store_true", help="compact single-line JSON")
     pa.add_argument("--check-fixed-point", action="store_true")
-    pa.add_argument("--workers", type=int, default=None)
 
     ps = sub.add_parser("simulate", help="draw samples and write CSV")
     ps.add_argument("config")
@@ -198,7 +198,6 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-terms", type=int, default=None)
     ps.add_argument("--json", action="store_true", help="compact single-line JSON")
     ps.add_argument("--check-fixed-point", action="store_true")
-    ps.add_argument("--workers", type=int, default=None)
 
     pv = sub.add_parser("verify", help="run a named oracle verification")
     pv.add_argument("example", help=f"one of: {', '.join(sorted(CHECKS))}")
@@ -221,19 +220,18 @@ def main(argv=None) -> int:
             return cmd_analyze(args.config, args.p, n=args.n, seed=args.seed,
                                epsilon=args.epsilon, max_terms=args.max_terms,
                                out=args.out, compact=args.json,
-                               check_fixed_point=args.check_fixed_point,
-                               workers=args.workers)
+                               check_fixed_point=args.check_fixed_point)
         if args.command == "simulate":
             return cmd_simulate(args.config, args.n, seed=args.seed,
                                 out_csv=args.out, epsilon=args.epsilon,
                                 max_terms=args.max_terms,
                                 check_fixed_point=args.check_fixed_point,
-                                compact=args.json, workers=args.workers)
+                                compact=args.json)
         return cmd_verify(args.example, seed=args.seed, n=args.n)
-    except (_UsageError, LawValidationError, PreconditionError) as exc:
-        code, msg = _EXIT_USAGE, str(exc)
     except NonConvergentError as exc:
         code, msg = _EXIT_NON_CONVERGENT, str(exc)
+    except (_UsageError, PerpetuaError) as exc:  # a failed draw raises the base class
+        code, msg = _EXIT_USAGE, str(exc)
     except OSError as exc:  # unreadable configs surface as LawValidationError
         code, msg = _EXIT_USAGE, f"cannot write output: {exc}"
     print(f"error: {msg}", file=sys.stderr)

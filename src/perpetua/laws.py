@@ -28,6 +28,11 @@ from .streams import LANE_M, LANE_Q, LANE_MAIN, RandomStream
 _QUAD_EPSREL = 1e-10
 _QUAD_LIMIT = 200
 
+# the largest parameters numpy's samplers accept: Generator.poisson refuses
+# lam above 2^63 - 1 - 10 sqrt(2^63 - 1), Generator.integers a high above 2^63
+_POISSON_MEAN_MAX = 9.223372006484771e18
+_INTEGERS_HIGH_MAX = 2 ** 63
+
 EVENTS = ("M=0", "M=1", "M=-1", "|M|=1", "|M|<1", "|M|<=1", "|M|>1", "Q=0")
 
 
@@ -366,8 +371,8 @@ class UniformDiscreteRange(ScalarLaw):
     family = "uniform_discrete_range"
 
     def __post_init__(self):
-        _require(isinstance(self.n, int) and self.n >= 1,
-                 "uniform_discrete_range: n must be an integer >= 1")
+        _require(isinstance(self.n, int) and 1 <= self.n <= _INTEGERS_HIGH_MAX,
+                 "uniform_discrete_range: n must be an integer in [1, 2^63]")
 
     def sample_block(self, gen, size):
         return gen.integers(0, self.n, size).astype(float)
@@ -650,7 +655,8 @@ class Poisson(ScalarLaw):
     family = "poisson"
 
     def __post_init__(self):
-        _require(_finite(self.mean) and self.mean > 0, "poisson: mean must be > 0")
+        _require(_finite(self.mean) and 0 < self.mean <= _POISSON_MEAN_MAX,
+                 f"poisson: mean must be in (0, {_POISSON_MEAN_MAX!r}]")
 
     def sample_block(self, gen, size):
         return gen.poisson(self.mean, size).astype(float)

@@ -8,14 +8,13 @@ once |Pi_k| falls below the truncation threshold epsilon, else at max_terms
 Phi_k = Q_k + M_k Phi_{k-1} is provided for distributional comparisons.
 
 Batches draw sample i from the dedicated stream (seed, stream_id=i), so the
-result is a pure function of (config, n) no matter how the work is chunked
-across workers.  The environment variable PERPETUA_THREADS caps the worker
-count.
+result is a pure function of (config, n) no matter how the ids are chunked.
+``sample_batch`` runs one chunk, ``_batch_chunk`` over all n ids, and sorts.
 
 The series arithmetic lives in one kernel, ``_accumulate``, which runs many
 paths over rows of _BLOCK pairs at once and gives each row exactly the
 floating-point operations of one lone _BLOCK-pair block, in the same order.
-A batch chunk is a wavefront: every draw of a sub-chunk draws its first k
+A chunk is a wavefront: every draw of a sub-chunk draws its first k
 rows from its own re-keyed streams (see ``streams.LanePool``), one kernel
 call covers them all, and draws still running re-draw those rows and go on
 alone in super-blocks of doubling size (``_draw_one``, which is also the
@@ -34,8 +33,6 @@ max(2^19, n) for n samples, whatever the grid size.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -116,15 +113,34 @@ class EmpiricalDistribution:
         with np.errstate(invalid="ignore"):
             return float(np.var(self.samples, ddof=1)) if self.n > 1 else 0.0
 
+    def _quantiles(self, qs: np.ndarray) -> np.ndarray:
+        """np.quantile (linear method) of the sorted samples, taking 0 * inf as 0.
+
+        Where an interpolation neighbour is infinite np.quantile can give
+        NaN; there this gives the order statistic at a whole index and the
+        infinite neighbour between two, so only a -inf/+inf straddle stays
+        NaN.  All other values, and all values for a sample holding NaN, are
+        np.quantile's bit for bit.
+        """
+        x = self.samples
+        with np.errstate(invalid="ignore"):
+            values = np.quantile(x, qs)
+            fix = np.isnan(values) & ~np.isnan(x[-1])
+            if fix.any():
+                q = qs[fix]
+                h = x.size * q + (1 - q) - 1      # np.quantile's virtual index
+                lo = np.floor(h).astype(int)
+                a, b = x[lo], x[np.minimum(lo + 1, x.size - 1)]
+                values[fix] = np.where(h == lo, a, a + b)
+        return values
+
     def quantile(self, q: float) -> float:
         self._require_nonempty()
-        with np.errstate(invalid="ignore"):
-            return float(np.quantile(self.samples, q))
+        return float(self._quantiles(np.array([q], dtype=float))[0])
 
     def summary(self, min_prob: float = 0.01) -> dict:
         self._require_nonempty()
-        with np.errstate(invalid="ignore"):
-            values = np.quantile(self.samples, np.array(_SUMMARY_PERCENTILES) / 100)
+        values = self._quantiles(np.array(_SUMMARY_PERCENTILES) / 100)
         qs = {str(p): float(v) for p, v in zip(_SUMMARY_PERCENTILES, values)}
         return {
             "n": int(self.n),
@@ -145,6 +161,7 @@ class Trajectory:
     kind: str  # "backward-partial-sums" or "forward-ifs"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _accumulate(ms: np.ndarray, qs: np.ndarray, epsilon: float, pi: np.ndarray,
                 total: np.ndarray, end: int | None):
     """Run paths over rows of _BLOCK pairs; the series arithmetic of the sampler.
@@ -162,23 +179,23 @@ def _accumulate(ms: np.ndarray, qs: np.ndarray, epsilon: float, pi: np.ndarray,
     Returns (stop, value, truncated, exhausted, pi, total) per path: the
     flat index of the stopping pair (-1 when the path runs on), its value,
     its stop flags, and the product and total to carry into further rows.
+    Overflow gives inf and inf - inf gives NaN, without numpy warnings.
     """
     paths, rows, _ = ms.shape
     # two working arrays, updated in place: run (the products) and contrib
-    with np.errstate(over="ignore", invalid="ignore"):
-        run = np.cumprod(ms, axis=2)
-        pis = np.cumprod(np.concatenate([pi[:, None], run[:, :, -1]], axis=1), axis=1)
-        run *= pis[:, :-1, None]
-        contrib = np.empty_like(run)
-        contrib[:, :, 0] = pis[:, :-1]
-        contrib[:, :, 1:] = run[:, :, :-1]
-        contrib *= qs
-        totals = np.cumsum(np.concatenate([total[:, None], contrib.sum(axis=2)], axis=1),
-                           axis=1)
-        hit = np.abs(run, out=run) <= epsilon
-        hit |= ms == 0.0
-        hit = hit.reshape(paths, -1)
-        del run
+    run = np.cumprod(ms, axis=2)
+    pis = np.cumprod(np.concatenate([pi[:, None], run[:, :, -1]], axis=1), axis=1)
+    run *= pis[:, :-1, None]
+    contrib = np.empty_like(run)
+    contrib[:, :, 0] = pis[:, :-1]
+    contrib[:, :, 1:] = run[:, :, :-1]
+    contrib *= qs
+    totals = np.cumsum(np.concatenate([total[:, None], contrib.sum(axis=2)], axis=1),
+                       axis=1)
+    hit = np.abs(run, out=run) <= epsilon
+    hit |= ms == 0.0
+    hit = hit.reshape(paths, -1)
+    del run
     # padding repeats the product of the column before it, so a path never
     # first stops in the padding
     stop = hit.argmax(axis=1)
@@ -313,45 +330,17 @@ def _failed(stream_id: int, exc: Exception) -> PerpetuaError:
     return PerpetuaError(f"sample with stream id {stream_id} failed: {exc}")
 
 
-def _worker_count(workers: int | None) -> int:
-    cap = os.environ.get("PERPETUA_THREADS")
-    count = 1 if workers is None else max(1, int(workers))
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise PreconditionError(
-                f"PERPETUA_THREADS must be an integer, got {cap!r}") from None
-        count = min(count, max(1, cap))
-    return count
-
-
-def sample_batch(config: PerpetuityConfig, n: int,
-                 workers: int | None = None) -> EmpiricalDistribution:
+def sample_batch(config: PerpetuityConfig, n: int) -> EmpiricalDistribution:
     """n independent draws using stream ids 0..n-1 derived from config.seed.
 
-    The sorted output is bit-identical for any worker count.
+    Draw i depends on stream (config.seed, i) alone, so the sorted output is
+    bit-identical however the ids are split among ``_batch_chunk`` calls.
     """
     if not (isinstance(n, int) and n >= 0):
         raise PreconditionError(f"n must be a nonnegative integer, got {n!r}")
     if n > 0:
         _check_sampleable(config.joint)
-    count = _worker_count(workers)
-    ids = range(n)
-    if count <= 1 or n < 256:
-        chunks = [_batch_chunk(config, ids)] if n else []
-    else:
-        bounds = np.linspace(0, n, count * 4 + 1).astype(int)
-        spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            chunks = list(pool.map(lambda s: _batch_chunk(config, s), spans))
-    if chunks:
-        values = np.concatenate([c[0] for c in chunks])
-        n_truncated = sum(c[1] for c in chunks)
-        n_exhausted = sum(c[2] for c in chunks)
-    else:
-        values = np.empty(0)
-        n_truncated = n_exhausted = 0
+    values, n_truncated, n_exhausted = _batch_chunk(config, range(n))
     values.sort()
     provenance = {
         "joint": joint_to_json(config.joint),
@@ -426,8 +415,7 @@ def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(ca - cb)))
 
 
-def fixed_point_residual(config: PerpetuityConfig, n: int,
-                         workers: int | None = None) -> float:
+def fixed_point_residual(config: PerpetuityConfig, n: int) -> float:
     """Two-sample KS between {Z_i} and {Q_i + M_i Z'_i}.
 
     Z and Z' are independent batches of size n and the (M_i, Q_i) are fresh
@@ -439,9 +427,8 @@ def fixed_point_residual(config: PerpetuityConfig, n: int,
     """
     if n < 1:
         raise PreconditionError("fixed_point_residual requires n >= 1")
-    z = sample_batch(config, n, workers).samples
-    z_prime = sample_batch(replace(config, seed=derive_seed(config.seed, 1)),
-                           n, workers).samples
+    z = sample_batch(config, n).samples
+    z_prime = sample_batch(replace(config, seed=derive_seed(config.seed, 1)), n).samples
     pair_stream = RandomStream(derive_seed(config.seed, 2), 0)
     ms, qs = config.joint.draw_pairs(pair_stream, n)
     rhs = qs + ms * z_prime

@@ -4,7 +4,7 @@ Every stochastic routine in this package draws from a ``RandomStream``, a
 counter-based generator addressed by ``(seed, stream_id)``.  Streams with
 distinct addresses are statistically independent, and the draws from a given
 address are a pure function of the address: batch results do not depend on
-execution order, chunking, or worker count.
+execution order or chunking.
 
 The implementation keys a Philox-4x64 counter generator directly, which numpy
 documents as a supported way to create independent streams.  Each stream owns
@@ -58,8 +58,8 @@ class LanePool:
     """One reusable Philox generator per lane, re-keyed for each stream.
 
     A pooled stream's generators stay valid until another stream of the same
-    pool asks for the same lane; use one pool per thread and finish with a
-    stream before starting the next.
+    pool asks for the same lane, so finish with a stream before starting the
+    next.
     """
 
     def __init__(self):

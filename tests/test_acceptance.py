@@ -8,6 +8,7 @@ here; a failure means the library, not the test, needs attention.
 
 import time
 
+import numpy as np
 import pytest
 
 from perpetua.existence import existence_report, product_vanishes_verdict
@@ -15,7 +16,8 @@ from perpetua.laws import (Exponential, FiniteDiscrete, Independent,
                            LogPareto, PointMass, SignedRademacher,
                            UniformContinuous)
 from perpetua.moments import p_moment_criterion
-from perpetua.sampling import PerpetuityConfig, empirical_moment, sample_batch
+from perpetua.sampling import (PerpetuityConfig, _batch_chunk, empirical_moment,
+                               sample_batch)
 from perpetua.verify import (check_abscissa_boundary, check_exp_moments,
                              check_fixed_point_residuals, check_gamma,
                              check_geometric, check_levy_half,
@@ -121,17 +123,24 @@ def test_c11_divergent_tail_integral(capsys):
 
 
 def test_c12_parallel_reproducibility(capsys):
+    # draw i uses stream (seed, i) alone, so sorting together the draws of
+    # any split of the ids into _batch_chunk calls gives sample_batch's
+    # bytes: here the 16 and 32 even spans that 4 and 8 threads once took,
+    # and an uneven split
     joint = Independent(UniformContinuous(0.0, 1.0), Exponential(1.0))
+    n = 20_000
+    partitions = [np.linspace(0, n, 17).astype(int), np.linspace(0, n, 33).astype(int),
+                  [0, 1, 255, 256, 7000, n]]
     per_seed = {}
     for seed in (1, 2):
-        blobs = {
-            sample_batch(PerpetuityConfig(joint, seed=seed), 20_000,
-                         workers=w).samples.tobytes()
-            for w in (1, 4, 8)
-        }
+        cfg = PerpetuityConfig(joint, seed=seed)
+        blobs = {sample_batch(cfg, n).samples.tobytes()}
+        for cuts in partitions:
+            values = [_batch_chunk(cfg, range(a, b))[0] for a, b in zip(cuts[:-1], cuts[1:])]
+            blobs.add(np.sort(np.concatenate(values)).tobytes())
         per_seed[seed] = blobs
     _gate(capsys, 12, "parallel-reproducibility", [
-        (len(per_seed[1]) == 1, "seed 1 output varies with worker count"),
-        (len(per_seed[2]) == 1, "seed 2 output varies with worker count"),
+        (len(per_seed[1]) == 1, "seed 1 output varies with chunking"),
+        (len(per_seed[2]) == 1, "seed 2 output varies with chunking"),
         (per_seed[1] != per_seed[2], "seeds 1 and 2 produced identical sets"),
     ])

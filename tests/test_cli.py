@@ -3,11 +3,14 @@ import io
 import json
 import os
 import tempfile
+import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perpetua import laws
 from perpetua.cli import entry, main
 
 BETA_EXP = {
@@ -41,6 +44,18 @@ OVERFLOWING = {
     "coupling": "independent",
     "M": {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
     "Q": {"family": "log_pareto", "params": {"index": 1.2}},
+}
+# some draws are inf - inf inside a partial sum
+SIGNED_HEAVY = {
+    "coupling": "independent",
+    "M": {"family": "uniform", "params": {"lo": -1.0, "hi": 0.5}},
+    "Q": {"family": "log_pareto", "params": {"index": 1.01}},
+}
+# parameters just past what numpy's samplers accept
+UNDRAWABLE = {
+    "poisson": {"family": "poisson", "params": {"mean": 1e300}},
+    "uniform_discrete_range": {"family": "uniform_discrete_range",
+                               "params": {"n": 10 ** 30}},
 }
 
 
@@ -160,6 +175,39 @@ def test_analyze_epsilon_flag_changes_truncation(tmp_path, capsys):
     assert coarse < fine < 2.0
 
 
+def test_analyze_signed_overflow_warns_nothing(tmp_path, capsys):
+    cfg = _write(tmp_path, SIGNED_HEAVY)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", cfg, "--n", "2000", "--json"]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("family", sorted(UNDRAWABLE))
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_undrawable_parameters_are_config_errors(command, family, tmp_path, capsys):
+    cfg = _write(tmp_path, {"coupling": "independent", "M": BETA_EXP["M"],
+                            "Q": UNDRAWABLE[family]})
+    start = time.perf_counter()
+    assert main([command, cfg, "--n", "20", "--out", str(tmp_path / "z.csv")]) == 2
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config.Q: {family}:")
+    assert captured.out == ""
+
+
+def test_failed_draw_is_usage_error(tmp_path, capsys, monkeypatch):
+    def fail(self, stream, size):
+        raise RuntimeError("no draw")
+    monkeypatch.setattr(laws.Independent, "draw_pairs", fail)
+    cfg = _write(tmp_path, BETA_EXP)
+    assert main(["simulate", cfg, "--n", "20", "--out", str(tmp_path / "z.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sample with stream id 0 failed: no draw\n"
+    assert captured.out == ""
+
+
 def test_analyze_check_fixed_point_adds_key(tmp_path, capsys):
     cfg = _write(tmp_path, BETA_EXP)
     assert main(["analyze", cfg, "--n", "400", "--check-fixed-point"]) == 0
@@ -195,15 +243,14 @@ def test_simulate_csv_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
-def test_simulate_worker_count_does_not_change_csv(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_workers_flag_is_usage_error(command, tmp_path, capsys):
     cfg = _write(tmp_path, BETA_EXP)
-    a, b = tmp_path / "w1.csv", tmp_path / "w4.csv"
-    assert main(["simulate", cfg, "--n", "500", "--seed", "2", "--workers", "1",
-                 "--out", str(a)]) == 0
-    assert main(["simulate", cfg, "--n", "500", "--seed", "2", "--workers", "4",
-                 "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    out = tmp_path / "z.csv"
+    assert main([command, cfg, "--n", "500", "--workers", "4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:") and "--workers" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_simulate_seed_from_config_matches_explicit_flag(tmp_path, capsys):
@@ -230,7 +277,6 @@ def test_simulate_exhaustion_exit_code(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 51  # CSV still written
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_non_finite_draws_strict_json_exit(tmp_path, capsys):
     cfg = _write(tmp_path, OVERFLOWING)
     assert main(["simulate", cfg, "--n", "20000", "--json",
@@ -238,18 +284,9 @@ def test_simulate_non_finite_draws_strict_json_exit(tmp_path, capsys):
     captured = capsys.readouterr()
     summary = json.loads(captured.out, parse_constant=_reject_constant)
     assert summary["mean"] == "inf" and summary["max"] == "inf"
-    assert summary["variance"] is None and summary["quantiles"]["99"] is None
+    assert summary["variance"] is None and summary["quantiles"]["99"] == "inf"
     assert ["inf", 0.013] in summary["atoms"]
     assert captured.err.startswith("error: 260 of 20000 samples are not finite")
-
-
-def test_simulate_bad_thread_cap_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PERPETUA_THREADS", "abc")
-    cfg = _write(tmp_path, BETA_EXP)
-    assert main(["simulate", cfg, "--n", "300", "--workers", "2",
-                 "--out", str(tmp_path / "z.csv")]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: PERPETUA_THREADS") and captured.out == ""
 
 
 def test_simulate_non_convergent_exit(tmp_path, capsys):
@@ -336,7 +373,7 @@ def test_verify_singularity_runs_from_registry(capsys):
         assert result["oracle"] == "bernoulli-convolution"
 
 
-# --- property: every analyze input maps to a documented exit code -----------
+# --- property: every analyze or simulate input maps to a documented exit code
 
 _pos = st.floats(0.1, 4.0)
 _VALID_PARAMS = {
@@ -409,27 +446,39 @@ def _configs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=_configs(),
+@given(command=st.sampled_from(["analyze", "simulate"]),
+       text=_configs(),
        ps=st.lists(st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, 40.0]), max_size=3),
        n=st.sampled_from([None, None, 0, 25]),
        compact=st.booleans())
-def test_analyze_any_config_exit_code_and_strict_json(text, ps, n, compact):
+def test_analyze_any_config_exit_code_and_strict_json(command, text, ps, n, compact):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        argv = ["analyze", path] + [a for p in ps for a in ("--p", str(p))]
+        argv = [command, path]
+        if command == "analyze":
+            argv += [a for p in ps for a in ("--p", str(p))]
+        else:
+            n = 25 if n is None else n
+            argv += ["--out", os.path.join(tmp, "z.csv")]
         if n is not None:
             argv += ["--n", str(n), "--max-terms", "300"]
         if compact:
             argv.append("--json")
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
     assert code in (0, 2, 3, 4), err.getvalue()
-    if code == 0:
+    assert [str(w.message) for w in caught] == []
+    assert all(line.startswith("error:") for line in err.getvalue().splitlines())
+    if code == 0 or (code == 4 and command == "simulate"):
         report = json.loads(out.getvalue(), parse_constant=_reject_constant)
-        assert {"config", "existence", "moments", "abscissa"} <= set(report)
+        keys = {"config", "existence", "moments", "abscissa"} if command == "analyze" else {"n"}
+        assert keys <= set(report)
+        assert (err.getvalue() == "") == (code == 0)
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")

@@ -10,7 +10,7 @@ from perpetua.errors import (NonConvergentError, PerpetuaError,
 from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
                            Independent, PointMass, UniformContinuous)
 from perpetua.sampling import (_CF_SPACING, EmpiricalDistribution,
-                               PerpetuityConfig, _cf_parts,
+                               PerpetuityConfig, _batch_chunk, _cf_parts,
                                atom_scan, cf_modulus_grid, empirical_cf,
                                empirical_moment, fixed_point_residual,
                                forward_iterate, ks_distance,
@@ -67,20 +67,20 @@ def test_batch_prefix_property():
     assert set(small.samples) <= set(big.samples)
 
 
-@pytest.mark.parametrize("workers", [1, 4, 8])
-def test_worker_count_does_not_change_output(workers):
+@pytest.mark.parametrize("cuts", [np.linspace(0, 1024, 17).astype(int).tolist(),
+                                  np.linspace(0, 1024, 33).astype(int).tolist(),
+                                  [0, 1, 255, 256, 700, 1024]],
+                         ids=["16-spans", "32-spans", "uneven"])
+def test_chunking_does_not_change_output(cuts):
+    # draw i uses stream (seed, i) alone, so any split of the ids gives the
+    # same sorted batch
     cfg = PerpetuityConfig(U_EXP, seed=2)
-    base = sample_batch(cfg, 1024, workers=1)
-    got = sample_batch(cfg, 1024, workers=workers)
-    np.testing.assert_array_equal(base.samples, got.samples)
-
-
-def test_thread_env_cap_preserves_output(monkeypatch):
-    cfg = PerpetuityConfig(U_EXP, seed=2)
-    base = sample_batch(cfg, 1024, workers=1)
-    monkeypatch.setenv("PERPETUA_THREADS", "2")
-    got = sample_batch(cfg, 1024, workers=8)
-    np.testing.assert_array_equal(base.samples, got.samples)
+    base = sample_batch(cfg, 1024)
+    chunks = [_batch_chunk(cfg, range(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+    got = np.sort(np.concatenate([c[0] for c in chunks]))
+    assert got.tobytes() == base.samples.tobytes()
+    assert sum(c[1] for c in chunks) == base.n_truncated
+    assert sum(c[2] for c in chunks) == base.n_exhausted
 
 
 def test_non_convergent_config_refuses_to_sample():
@@ -214,6 +214,18 @@ def test_summary_of_infinite_samples_warns_nothing():
             s = emp.summary()
             emp.mean(), emp.variance(), emp.quantile(0.99)
         assert math.isnan(s["variance"])
+
+
+def test_quantile_next_to_infinite_sample_is_order_statistic():
+    emp = _emp([1.0, 2.0, 3.0, np.inf, np.inf])
+    assert emp.quantile(0.5) == 3.0
+    assert emp.quantile(0.6) == emp.quantile(0.7) == emp.quantile(0.99) == np.inf
+    qs = emp.summary()["quantiles"]
+    assert qs["50"] == 3.0 and qs["75"] == qs["99"] == np.inf
+    assert qs["25"] == float(np.quantile(emp.samples, 0.25))
+    assert math.isnan(_emp([-np.inf, np.inf]).quantile(0.5))
+    assert _emp([-np.inf, np.inf]).quantile(0.0) == -np.inf
+    assert math.isnan(_emp([1.0, np.inf, np.nan]).quantile(0.25))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 100, 1001])

@@ -76,10 +76,20 @@ DIGESTS = {
 }
 
 
-def _digest(name, workers=None):
+def _digest(name, spans=None):
+    """(n_truncated, n_exhausted, sha256) of a case's batch, drawn by
+    sample_batch or by ``spans`` even _batch_chunk spans sorted together."""
     joint, kwargs, n = CASES[name]
-    emp = sample_batch(PerpetuityConfig(joint, seed=SEED, **kwargs), n, workers)
-    return emp.n_truncated, emp.n_exhausted, hashlib.sha256(emp.samples.tobytes()).hexdigest()
+    cfg = PerpetuityConfig(joint, seed=SEED, **kwargs)
+    if spans is None:
+        emp = sample_batch(cfg, n)
+        values, n_truncated, n_exhausted = emp.samples, emp.n_truncated, emp.n_exhausted
+    else:
+        cuts = np.linspace(0, n, spans + 1).astype(int)
+        chunks = [_batch_chunk(cfg, range(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+        values = np.sort(np.concatenate([c[0] for c in chunks]))
+        n_truncated, n_exhausted = (sum(c[k] for c in chunks) for k in (1, 2))
+    return n_truncated, n_exhausted, hashlib.sha256(values.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -87,8 +97,8 @@ def test_batch_bytes_match_per_draw_sampler(name):
     assert _digest(name) == DIGESTS[name]
 
 
-def test_batch_bytes_match_with_workers():
-    assert _digest("uniform-x-exp1-max49", workers=3) == DIGESTS["uniform-x-exp1-max49"]
+def test_batch_bytes_match_when_chunked():
+    assert _digest("uniform-x-exp1-max49", spans=3) == DIGESTS["uniform-x-exp1-max49"]
 
 
 def _reference_draw(joint, epsilon, max_terms, stream):
