@@ -15,8 +15,9 @@ Usage:
 import argparse
 import json
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from perpetua.laws import (Exponential, FiniteDiscrete, Independent,
                            UniformContinuous)

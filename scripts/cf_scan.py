@@ -16,10 +16,11 @@ Usage:
 import argparse
 import csv
 import sys
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from perpetua.laws import Independent, PointMass, SignedRademacher
 from perpetua.oracles import bernoulli_convolution_cf, purity_probe

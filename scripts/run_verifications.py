@@ -14,8 +14,9 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from perpetua.verify import CHECKS, run_check
 

@@ -14,6 +14,9 @@ or non-finite draws above 1%) of ``analyze --n`` or ``simulate``, which
 still print their report.  The commands raise; ``main`` maps each error to
 its code once.  Output is strict JSON: infinities print as "inf"/"-inf"
 and NaN as null.
+
+The argument parser is built once, at import; ``main`` only parses and
+calls the chosen command with the parsed namespace.
 """
 
 from __future__ import annotations
@@ -59,8 +62,10 @@ def _read_config(path: str) -> dict:
     return obj
 
 
-def _build_config(obj: dict, epsilon=None, max_terms=None, seed=None) -> PerpetuityConfig:
+def _build_config(obj: dict, args) -> PerpetuityConfig:
+    """The config's joint law and sampler settings; flags given in ``args`` win."""
     joint = joint_from_json(obj, "config")
+    epsilon, max_terms, seed = args.epsilon, args.max_terms, args.seed
     if epsilon is None:
         epsilon = obj.get("epsilon", DEFAULT_EPSILON)
     if max_terms is None:
@@ -136,11 +141,9 @@ def _gate_exit(errors) -> int:
     return _EXIT_TRUNCATION if errors else _EXIT_OK
 
 
-def cmd_analyze(config_path: str, p_list, n=None, seed=None, epsilon=None,
-                max_terms=None, out=None, compact=False,
-                check_fixed_point=False) -> int:
+def cmd_analyze(args) -> int:
     """Existence, moment, and abscissa report; optional sampling summary."""
-    cfg = _build_config(_read_config(config_path), epsilon, max_terms, seed)
+    cfg = _build_config(_read_config(args.config), args)
     rep = existence_report(cfg.joint)
     report = {
         "config": joint_to_json(cfg.joint),
@@ -149,7 +152,7 @@ def cmd_analyze(config_path: str, p_list, n=None, seed=None, epsilon=None,
         "abscissa": None,
         "sample_summary": None,
     }
-    for p in p_list or ():
+    for p in args.p or ():
         try:
             report["moments"].append(p_moment_criterion(cfg.joint, p).to_json())
         except PreconditionError as exc:
@@ -159,31 +162,30 @@ def cmd_analyze(config_path: str, p_list, n=None, seed=None, epsilon=None,
     except PreconditionError as exc:
         report["abscissa"] = {"refused": str(exc)}
     errors = []
-    if n is not None:
-        _, report["sample_summary"], errors = _sample_gated(cfg, n, check_fixed_point)
-    _emit(report, compact, out)
+    if args.n is not None:
+        _, report["sample_summary"], errors = _sample_gated(cfg, args.n,
+                                                            args.check_fixed_point)
+    _emit(report, args.json, args.out)
     return _gate_exit(errors)
 
 
-def cmd_simulate(config_path: str, n: int, seed=None, out_csv=None,
-                 epsilon=None, max_terms=None, check_fixed_point=False,
-                 compact=False) -> int:
+def cmd_simulate(args) -> int:
     """Draw a batch, write CSV samples, print a JSON summary."""
-    cfg = _build_config(_read_config(config_path), epsilon, max_terms, seed)
-    emp, summary, errors = _sample_gated(cfg, n, check_fixed_point)
-    if out_csv:
-        to_csv(emp, out_csv)
-    _emit(summary, compact, None)
+    cfg = _build_config(_read_config(args.config), args)
+    emp, summary, errors = _sample_gated(cfg, args.n, args.check_fixed_point)
+    if args.out:
+        to_csv(emp, args.out)
+    _emit(summary, args.json, None)
     return _gate_exit(errors)
 
 
-def cmd_verify(name: str, seed: int = 0, n=None, compact=True) -> int:
+def cmd_verify(args) -> int:
     """Run one named oracle check; one JSON result line per sub-check."""
-    if name not in CHECKS:
-        raise _UsageError(f"unknown example {name!r}; valid: {', '.join(sorted(CHECKS))}")
-    results = run_check(name, seed=seed, n=n)
+    if args.n is not None and args.n < 1:
+        raise _UsageError("verify --n must be at least 1")
+    results = run_check(args.example, seed=args.seed, n=args.n)
     for r in results:
-        _emit(r, compact, None)
+        _emit(r, True, None)
     return _EXIT_OK if all(r["pass"] for r in results) else _EXIT_VERIFY_FAIL
 
 
@@ -193,58 +195,48 @@ def _parser() -> argparse.ArgumentParser:
         description="Analyze and simulate perpetuities (random discounted series).")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="existence/moment/abscissa report")
-    pa.add_argument("config", help="path to a JSON joint-law config")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("config", help="path to a JSON joint-law config")
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--epsilon", type=float, default=None)
+    shared.add_argument("--max-terms", type=int, default=None)
+    shared.add_argument("--json", action="store_true", help="compact single-line JSON")
+    shared.add_argument("--check-fixed-point", action="store_true")
+
+    pa = sub.add_parser("analyze", parents=[shared],
+                        help="existence/moment/abscissa report")
     pa.add_argument("--p", action="append", type=float, default=None,
                     help="moment order to test (repeatable)")
     pa.add_argument("--n", type=int, default=None,
                     help="also sample n draws and include a summary")
-    pa.add_argument("--seed", type=int, default=None)
-    pa.add_argument("--epsilon", type=float, default=None)
-    pa.add_argument("--max-terms", type=int, default=None)
     pa.add_argument("--out", default=None, help="write the report here instead of stdout")
-    pa.add_argument("--json", action="store_true", help="compact single-line JSON")
-    pa.add_argument("--check-fixed-point", action="store_true")
+    pa.set_defaults(run=cmd_analyze)
 
-    ps = sub.add_parser("simulate", help="draw samples and write CSV")
-    ps.add_argument("config")
+    ps = sub.add_parser("simulate", parents=[shared], help="draw samples and write CSV")
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--out", required=True, help="CSV output path (header 'z')")
-    ps.add_argument("--epsilon", type=float, default=None)
-    ps.add_argument("--max-terms", type=int, default=None)
-    ps.add_argument("--json", action="store_true", help="compact single-line JSON")
-    ps.add_argument("--check-fixed-point", action="store_true")
+    ps.set_defaults(run=cmd_simulate)
 
     pv = sub.add_parser("verify", help="run a named oracle verification")
     pv.add_argument("example", help=f"one of: {', '.join(sorted(CHECKS))}")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--n", type=int, default=None, help="override the sample size")
+    pv.set_defaults(run=cmd_verify)
     return ap
+
+
+_PARSER = _parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else _EXIT_OK
     try:
         if args.n is not None and args.n < 0:
             raise _UsageError("--n must be nonnegative")
-        if args.command == "verify" and args.n is not None and args.n < 1:
-            raise _UsageError("verify --n must be at least 1")
-        if args.command == "analyze":
-            return cmd_analyze(args.config, args.p, n=args.n, seed=args.seed,
-                               epsilon=args.epsilon, max_terms=args.max_terms,
-                               out=args.out, compact=args.json,
-                               check_fixed_point=args.check_fixed_point)
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.n, seed=args.seed,
-                                out_csv=args.out, epsilon=args.epsilon,
-                                max_terms=args.max_terms,
-                                check_fixed_point=args.check_fixed_point,
-                                compact=args.json)
-        return cmd_verify(args.example, seed=args.seed, n=args.n)
+        return args.run(args)
     except NonConvergentError as exc:
         code, msg = _EXIT_NON_CONVERGENT, str(exc)
     except (_UsageError, PerpetuaError) as exc:  # a failed draw raises the base class

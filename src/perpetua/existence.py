@@ -160,7 +160,7 @@ def degeneracy_scan(joint: JointLaw) -> float | None:
     """
     if isinstance(joint, FiniteJoint):
         cands = []
-        for m, q, _p in joint._active():
+        for m, q, _p in joint._active:
             if m == 1.0:
                 if q != 0.0:
                     return None

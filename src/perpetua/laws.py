@@ -720,7 +720,10 @@ class Poisson(ScalarLaw):
         if x != int(x) or x < 0:
             return 0.0
         k = int(x)
-        return math.exp(k * math.log(self.mean) - self.mean - special.gammaln(k + 1))
+        if k < 30:  # as accurate as _poisson_log_pmf below its Stirling branch
+            return math.exp(k * math.log(self.mean) - self.mean - special.gammaln(k + 1))
+        k = np.array([float(k)])
+        return math.exp(_poisson_log_pmf(k, k - self.mean, self.mean)[0])
 
     def support(self):
         return (0.0, math.inf)
@@ -979,8 +982,10 @@ class FiniteJoint:
         pairs = [(a[0], a[1]) for a in self.atoms]
         _require(len(set(pairs)) == len(pairs), "finite_joint: (m, q) atoms must be distinct")
 
-    def _active(self):
-        return [(float(m), float(q), float(p)) for m, q, p in self.atoms if p > 0]
+    @cached_property
+    def _active(self) -> tuple:
+        """The atoms of positive probability as float triples, built once."""
+        return tuple((float(m), float(q), float(p)) for m, q, p in self.atoms if p > 0)
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -998,7 +1003,7 @@ class FiniteJoint:
 
     def _aggregate(self, idx: int) -> FiniteDiscrete:
         agg: dict[float, float] = {}
-        for a in self._active():
+        for a in self._active:
             agg[a[idx]] = agg.get(a[idx], 0.0) + a[2]
         vals = tuple(sorted(agg))
         return FiniteDiscrete(vals, tuple(agg[v] for v in vals))
@@ -1021,7 +1026,7 @@ class FiniteJoint:
 
     def restricted_exp_moment(self, s: float, q_sign: int, m_atom: float) -> float:
         total = 0.0
-        for m, q, p in self._active():
+        for m, q, p in self._active:
             if m == m_atom:
                 total += p * _exp(q_sign * s * q)
         return total

@@ -33,6 +33,7 @@ max(2^19, n) for n samples, whatever the grid size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -321,7 +322,8 @@ def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
         values[pos : pos + width] = value
         truncated += int(trunc.sum())
         exhausted += int(exh.sum())
-        rows = -(-int(np.quantile(terms, _WAVE_QUANTILE)) // _BLOCK)
+        kth = math.ceil(_WAVE_QUANTILE * (width - 1))  # at or above the 95% point
+        rows = -(-int(np.partition(terms, kth)[kth]) // _BLOCK)
         pos += width
     return values, truncated, exhausted
 

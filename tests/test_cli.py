@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -541,6 +542,22 @@ def test_analyze_any_config_exit_code_and_strict_json(command, text, ps, n, comp
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = _write(tmp_path, HALF_ONE)
+    assert main(["analyze", cfg, "--json"]) == 0
+    assert main(["verify", "bogus"]) == 2
+    assert built == []
+    capsys.readouterr()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,15 @@ def test_poisson_pmf_and_cdf_match_scipy():
     assert law.point_prob(1.5) == 0.0
 
 
+@pytest.mark.parametrize("lam", [50.0, 1e3, 1e7, 1e18])
+def test_poisson_point_prob_at_the_mean_matches_mpmath(lam):
+    # k log(mean) - mean - log k! cancels at large k: at 1e18 it gave 1.0
+    with mpmath.workdps(50):
+        k = mpmath.mpf(lam)
+        want = float(mpmath.exp(k * mpmath.log(k) - k - mpmath.loggamma(k + 1)))
+    assert Poisson(lam).point_prob(lam) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_finite_discrete_validation():
     with pytest.raises(LawValidationError):
         FiniteDiscrete((1.0, 2.0), (0.5, 0.6))
@@ -222,6 +232,12 @@ def test_finite_joint_marginals_aggregate_duplicates():
     assert sorted(zip(m.values, m.probs)) == [(0.5, 0.5), (2.0, 0.5)]
     q = fj.marginal_q()
     assert sorted(zip(q.values, q.probs)) == [(1.0, 0.75), (2.0, 0.25)]
+
+
+def test_finite_joint_active_atoms_built_once():
+    fj = FiniteJoint(((0.5, 1.0, 0.25), (0.5, 2.0, 0.0), (2.0, 1.0, 0.75)))
+    assert fj._active == ((0.5, 1.0, 0.25), (2.0, 1.0, 0.75))
+    assert fj._active is fj._active
 
 
 def test_restricted_factorization_identity():
