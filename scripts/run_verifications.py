@@ -11,13 +11,13 @@ tolerances are calibrated for the default sizes).
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from perpetua.cli import _emit
 from perpetua.verify import CHECKS, run_check
 
 
@@ -38,7 +38,7 @@ def main() -> int:
         for r in results:
             all_ok = all_ok and r["pass"]
             if args.json:
-                print(json.dumps(r, separators=(",", ":")))
+                _emit(r, True, None)
             else:
                 mark = "ok  " if r["pass"] else "FAIL"
                 print(f"{mark} {name:18s} {r['check']:24s} "

@@ -83,9 +83,26 @@ def _exp(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _log_plus_by_quad(law) -> float:
-    """E log^+ X of a law on (0, inf) with a pdf: the integral of log x pdf(x) over (1, inf)."""
-    return _quad(lambda x: math.log(x) * law.pdf(x), 1.0, math.inf)
+def _log_gamma_parts(a: float, l0: float) -> tuple[float, float]:
+    """E (L - l0)^+ and E (L - l0)^- for L = log G, G ~ Gamma(a, 1).
+
+    Gamma(a, r) is G / r and InverseGamma(a, b) is b / G, so their E log^+
+    are the first part at l0 = log r and the second at l0 = log b.  Only the
+    side of l0 that holds at most half of the mass of L is integrated, over
+    the density e^{a l - e^l} / Gamma(a) of L; the other side follows from
+    E L = digamma(a), so mass far from x = 1 is never left to quadrature.
+    """
+    c = float(special.gammaln(a))
+
+    def density(l):
+        return math.exp(a * l - _exp(l) - c)
+
+    drift = float(special.digamma(a)) - l0
+    if special.gammaincc(a, _exp(l0)) <= 0.5:
+        upper = _quad(lambda l: (l - l0) * density(l), l0, math.inf)
+        return upper, upper - drift
+    lower = _quad(lambda l: (l0 - l) * density(l), -math.inf, l0)
+    return lower + drift, lower
 
 
 def _exp_moment_by_quad(law, s, of_abs=False) -> float:
@@ -558,13 +575,6 @@ class Gamma(ScalarLaw):
     def cdf(self, x):
         return float(special.gammainc(self.shape, self.rate * x)) if x > 0 else 0.0
 
-    def pdf(self, x):
-        if x <= 0:
-            return 0.0
-        a, r = self.shape, self.rate
-        return math.exp(a * math.log(r) + (a - 1) * math.log(x) - r * x
-                        - special.gammaln(a))
-
     def support(self):
         return (0.0, math.inf)
 
@@ -584,7 +594,8 @@ class Gamma(ScalarLaw):
     def log_abs_mean(self):
         return float(special.digamma(self.shape)) - math.log(self.rate)
 
-    log_plus_abs_moment = _log_plus_by_quad
+    def log_plus_abs_moment(self):
+        return _log_gamma_parts(self.shape, math.log(self.rate))[0]
 
 
 @dataclass(frozen=True)
@@ -821,7 +832,8 @@ class InverseGamma(ScalarLaw):
     def log_abs_mean(self):
         return math.log(self.scale) - float(special.digamma(self.shape))
 
-    log_plus_abs_moment = _log_plus_by_quad
+    def log_plus_abs_moment(self):
+        return _log_gamma_parts(self.shape, math.log(self.scale))[1]
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import PreconditionError
 from .laws import (Exponential, FiniteDiscrete, Independent, PointMass,
                    SignedRademacher, UniformContinuous)
 from .moments import (cauchy_hadamard_estimate, exp_perpetuity_moment,
                       r_of_perpetuity, r_star)
-from .oracles import (levy_q_lt_residual, oracle_gamma_sizebias,
+from .oracles import (OracleSpec, levy_q_lt_residual, oracle_gamma_sizebias,
                       oracle_geometric, oracle_levy_half,
                       oracle_pitman_yor_identity, oracle_uniform_digits,
                       oracle_uniform_symmetric, purity_probe)
@@ -27,6 +27,10 @@ from .sampling import (PerpetuityConfig, _cf_parts, empirical_moment,
 
 DEFAULT_N = 100_000
 
+# M = 1/3, Q = +-1: a singular law whose CF does not decay
+_THIRD = OracleSpec("bernoulli-convolution", {"c": 1.0 / 3.0},
+                    joint=Independent(PointMass(1.0 / 3.0), SignedRademacher(1.0)))
+
 
 def _result(oracle, params, check, statistic, threshold, ok):
     return {"oracle": oracle, "params": dict(params), "check": check,
@@ -34,10 +38,17 @@ def _result(oracle, params, check, statistic, threshold, ok):
             "pass": bool(ok)}
 
 
+def _sample_ks(spec, seed, n, threshold=0.01):
+    """Sample ``spec``'s joint; the batch and the KS result against its CDF."""
+    emp = sample_batch(PerpetuityConfig(spec.joint, seed=seed), n)
+    ks = ks_distance(emp, spec.cdf)
+    return emp, _result(spec.name, spec.params, "ks", ks, threshold, ks < threshold)
+
+
 def check_geometric(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     """Exact-stop sampling reproduces Geometric(0.3) on {1, 2, ...}."""
-    p = 0.3
-    spec = oracle_geometric(p)
+    spec = oracle_geometric(0.3)
+    p = spec.params["p"]
     emp = sample_batch(PerpetuityConfig(spec.joint, seed=seed), n)
     out = [_result(spec.name, spec.params, "all-exact",
                    emp.n_truncated + emp.n_exhausted, 0,
@@ -46,8 +57,7 @@ def check_geometric(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     obs = np.zeros(kmax)
     vals, counts = np.unique(emp.samples, return_counts=True)
     obs[vals.astype(int) - 1] = counts
-    ks = np.arange(1, kmax + 1)
-    pk = p * (1.0 - p) ** (ks - 1.0)
+    pk = spec.pmf(np.arange(1, kmax + 1))
     tv = 0.5 * (float(np.sum(np.abs(obs / n - pk))) + (1.0 - p) ** kmax)
     out.append(_result(spec.name, spec.params, "tv-distance", tv, 0.01, tv < 0.01))
     # lump the tail so every chi-square bin expects >= 5 counts
@@ -55,7 +65,8 @@ def check_geometric(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     k0 = min(k0, kmax)
     expected = np.append(n * pk[: k0 - 1], n * (1.0 - p) ** (k0 - 1))
     observed = np.append(obs[: k0 - 1], n - np.sum(obs[: k0 - 1]))
-    pval = float(stats.chisquare(observed, expected).pvalue)
+    # Pearson's statistic on k0 bins against chi-square with k0 - 1 dof
+    pval = float(special.chdtrc(k0 - 1, np.sum((observed - expected) ** 2 / expected)))
     out.append(_result(spec.name, spec.params, "chi2-gof-pvalue", pval, 0.01,
                        pval > 0.01))
     return out
@@ -63,35 +74,27 @@ def check_geometric(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
 
 def check_uniform_digits(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     """M = 1/2 with uniform digits gives Uniform(0, 2)."""
-    spec = oracle_uniform_digits(2)
-    emp = sample_batch(PerpetuityConfig(spec.joint, seed=seed), n)
-    ks = ks_distance(emp, spec.cdf)
-    return [_result(spec.name, spec.params, "ks", ks, 0.01, ks < 0.01)]
+    return [_sample_ks(oracle_uniform_digits(2), seed, n)[1]]
 
 
 def check_uniform_symmetric(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     """M = 1/2, Q = +-1 gives Uniform[-2, 2]; CF matches sin(2t)/(2t)."""
     spec = oracle_uniform_symmetric()
-    emp = sample_batch(PerpetuityConfig(spec.joint, seed=seed), n)
-    ks = ks_distance(emp, spec.cdf)
-    out = [_result(spec.name, spec.params, "ks", ks, 0.01, ks < 0.01)]
+    emp, ks = _sample_ks(spec, seed, n)
     ts = np.arange(0.5, 100.0 + 1e-9, 0.25)
     re, im = _cf_parts(emp.samples, ts)
     dev = float(np.max(np.hypot(re - np.sin(2.0 * ts) / (2.0 * ts), im)))
-    out.append(_result(spec.name, spec.params, "cf-identity", dev, 0.02, dev < 0.02))
-    return out
+    return [ks, _result(spec.name, spec.params, "cf-identity", dev, 0.02, dev < 0.02)]
 
 
 def check_singularity(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     """c = 1/3 convolution: CF matches the cosine product and does not decay."""
-    joint = Independent(PointMass(1.0 / 3.0), SignedRademacher(1.0))
-    emp = sample_batch(PerpetuityConfig(joint, seed=seed), n)
-    probe = purity_probe(emp, lawM_const=1.0 / 3.0, t_max=300.0)
-    params = {"c": 1.0 / 3.0}
+    spec = _THIRD
+    emp = sample_batch(PerpetuityConfig(spec.joint, seed=seed), n)
+    probe = purity_probe(emp, lawM_const=spec.params["c"], t_max=300.0)
     dev = probe.analytic_cf_check
-    out = [_result("bernoulli-convolution", params, "cf-identity", dev, 0.02,
-                   dev < 0.02)]
-    out.append(_result("bernoulli-convolution", params, "cf-persistent",
+    out = [_result(spec.name, spec.params, "cf-identity", dev, 0.02, dev < 0.02)]
+    out.append(_result(spec.name, spec.params, "cf-persistent",
                        probe.tail_peak, 0.2,
                        probe.cf_decay == "persistent" and probe.tail_peak > 0.2))
     return out
@@ -100,14 +103,11 @@ def check_singularity(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
 def check_gamma(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     """Size-bias identity at alpha = 1: Z ~ Gamma(2, 1)."""
     spec = oracle_gamma_sizebias(1.0)
-    emp = sample_batch(PerpetuityConfig(spec.joint, seed=seed), n)
-    ks = ks_distance(emp, spec.cdf)
-    out = [_result(spec.name, spec.params, "ks", ks, 0.01, ks < 0.01)]
+    emp, ks = _sample_ks(spec, seed, n)
     # Gamma(2, 1): mean 2, variance 2
     tol = 3.0 * math.sqrt(2.0 / n)
     dev = abs(emp.mean() - 2.0)
-    out.append(_result(spec.name, spec.params, "mean-3sigma", dev, tol, dev < tol))
-    return out
+    return [ks, _result(spec.name, spec.params, "mean-3sigma", dev, tol, dev < tol)]
 
 
 def check_levy_half(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
@@ -119,9 +119,7 @@ def check_levy_half(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
                    lt_res < 1e-8)]
     if lt_res >= 1e-8:
         return out
-    emp = sample_batch(PerpetuityConfig(spec.joint, seed=seed), n)
-    ks = ks_distance(emp, spec.cdf)
-    out.append(_result(spec.name, spec.params, "ks", ks, 0.015, ks < 0.015))
+    out.append(_sample_ks(spec, seed, n, threshold=0.015)[1])
     return out
 
 
@@ -133,18 +131,12 @@ def check_pitman_yor(seed: int = 0, n: int | None = None) -> list[dict]:
 
 def check_fixed_point_residuals(seed: int = 0, n: int = DEFAULT_N) -> list[dict]:
     """Distributional fixed-point residual for every sampled oracle config."""
-    third = Independent(PointMass(1.0 / 3.0), SignedRademacher(1.0))
-    configs = [
-        ("geometric", {"p": 0.3}, oracle_geometric(0.3).joint),
-        ("uniform-symmetric", {}, oracle_uniform_symmetric().joint),
-        ("bernoulli-convolution", {"c": 1.0 / 3.0}, third),
-        ("gamma-sizebias", {"alpha": 1.0}, oracle_gamma_sizebias(1.0).joint),
-        ("levy-half", {"b": 1.0}, oracle_levy_half(1.0).joint),
-    ]
+    specs = [oracle_geometric(0.3), oracle_uniform_symmetric(), _THIRD,
+             oracle_gamma_sizebias(1.0), oracle_levy_half(1.0)]
     out = []
-    for k, (name, params, joint) in enumerate(configs):
-        res = fixed_point_residual(PerpetuityConfig(joint, seed=seed + k), n)
-        out.append(_result(name, params, "fixed-point-residual",
+    for k, spec in enumerate(specs):
+        res = fixed_point_residual(PerpetuityConfig(spec.joint, seed=seed + k), n)
+        out.append(_result(spec.name, spec.params, "fixed-point-residual",
                            res, 0.01, res < 0.01))
     return out
 

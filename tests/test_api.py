@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import perpetua
 
 
@@ -9,3 +14,15 @@ def test_exports_resolve_and_are_distinct():
         if callable(obj):
             assert id(obj) not in seen, f"{name} duplicates {seen[id(obj)]}"
             seen[id(obj)] = name
+
+
+def test_import_loads_no_scipy_stats():
+    # a fresh interpreter: other test modules import scipy.stats themselves
+    src = str(Path(perpetua.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, perpetua, perpetua.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

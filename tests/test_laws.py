@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -441,6 +442,45 @@ def test_uniform_range_lists_no_atoms_and_finishes_fast():
     assert time.process_time() - start < 0.5
     assert UniformDiscreteRange(2).prob_abs_gt(1.0) == 0.0
     assert UniformDiscreteRange(3).prob_abs_lt(1.0) == pytest.approx(1 / 3)
+
+
+def _log_plus_by_mpmath(law):
+    """E log+ X = E log X + E log- X at 40 digits; X > 0 has a Gamma or inverse-Gamma law."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(law.shape)
+        if isinstance(law, Gamma):
+            r = mpmath.mpf(law.rate)
+            mean_log = mpmath.digamma(a) - mpmath.log(r)
+            log_pdf = lambda x: a * mpmath.log(r) + (a - 1) * mpmath.log(x) - r * x
+        else:
+            b = mpmath.mpf(law.scale)
+            mean_log = mpmath.log(b) - mpmath.digamma(a)
+            log_pdf = lambda x: a * mpmath.log(b) - (a + 1) * mpmath.log(x) - b / x
+        log_minus = mpmath.quad(
+            lambda x: -mpmath.log(x) * mpmath.exp(log_pdf(x) - mpmath.loggamma(a)), [0, 1])
+        return float(mean_log + log_minus)
+
+
+# mass far above 1 went missing when E log+ was one quadrature of log x pdf(x)
+# over (1, inf)
+@pytest.mark.parametrize("law", [Gamma(1.0, 1e-8), Gamma(1.0, 1e-300), Gamma(1e8, 1.0),
+                                 InverseGamma(1e-8, 1.0), InverseGamma(1.0, 1e300)])
+def test_log_plus_of_gamma_laws_far_from_one_matches_mpmath(law):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = law.log_plus_abs_moment()
+    assert caught == []
+    assert got == pytest.approx(_log_plus_by_mpmath(law), rel=1e-12)
+
+
+# every Gamma and InverseGamma law of tests/analysis_golden.json, whose
+# log_plus_abs_moment rows are held to this reference
+@pytest.mark.parametrize("law", [Gamma(0.5, 0.5), Gamma(4.0, 3.0), Gamma(2.0, 5.0),
+                                 Gamma(1.0, 1.0), Gamma(2.0, 1.0), InverseGamma(1.5, 0.5),
+                                 InverseGamma(4.0, 2.0), InverseGamma(1.0, 0.1),
+                                 InverseGamma(3.0, 0.5), InverseGamma(3.0, 2.0)])
+def test_log_plus_of_gamma_laws_matches_mpmath(law):
+    assert law.log_plus_abs_moment() == pytest.approx(_log_plus_by_mpmath(law), rel=1e-12)
 
 
 @pytest.mark.parametrize("law", [Poisson(0.5), Poisson(1e10), UniformDiscreteRange(10),

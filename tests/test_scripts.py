@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from perpetua.cli import main
+from perpetua.verify import CHECKS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -26,3 +29,21 @@ def test_script_help_runs_from_any_directory(tmp_path, script):
     done = _run_elsewhere(tmp_path, str(SCRIPTS / script), "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_run_verifications_json_is_strict_and_matches_verify(tmp_path, capsys):
+    done = _run_elsewhere(tmp_path, str(SCRIPTS / "run_verifications.py"),
+                          "--json", "--n", "1", "--seed", "1")
+    assert done.returncode == 1, done.stderr  # n = 1 fails the tolerances
+    lines = done.stdout.splitlines()
+    for line in lines:
+        json.loads(line, parse_constant=_reject_constant)
+    want = []
+    for name in CHECKS:
+        main(["verify", name, "--n", "1", "--seed", "1"])
+        want.extend(capsys.readouterr().out.splitlines())
+    assert lines == want
