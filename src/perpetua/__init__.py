@@ -17,8 +17,7 @@ from .laws import (FAMILIES, Beta, Exponential, FiniteDiscrete, FiniteJoint,
                    Gamma, Independent, InverseGamma, LogPareto, PointMass,
                    Poisson, ScalarLaw, SignedRademacher, UniformContinuous,
                    UniformDiscreteRange, Weibull, event_prob, joint_from_json,
-                   joint_to_json, law_from_json, law_to_json,
-                   restricted_exp_moment, sample_joint, sample_scalar)
+                   joint_to_json, law_from_json, law_to_json)
 from .moments import (REGIME_BOUNDARY, REGIME_CONTRACTING, REGIME_EXPANDING,
                       AbscissaResult, ExpFeasibility, MomentReport,
                       cauchy_hadamard_estimate, classify_regime,
@@ -27,15 +26,13 @@ from .moments import (REGIME_BOUNDARY, REGIME_CONTRACTING, REGIME_EXPANDING,
                       zstar_bound)
 from .oracles import (OracleSpec, PurityProbe, bernoulli_convolution_cf,
                       oracle_gamma_sizebias, oracle_geometric,
-                      oracle_levy_half, oracle_pitman_yor,
-                      oracle_uniform_digits, oracle_uniform_symmetric,
-                      pitman_yor_lt, purity_probe)
+                      oracle_levy_half, oracle_uniform_digits,
+                      oracle_uniform_symmetric, pitman_yor_lt, purity_probe)
 from .sampling import (DEFAULT_EPSILON, DEFAULT_MAX_TERMS,
                        EmpiricalDistribution, PerpetuityConfig, SampleOutcome,
-                       Trajectory, atom_scan, cf_modulus_grid, empirical_cf,
-                       empirical_moment, fixed_point_residual, forward_iterate,
-                       ks_distance, partial_sum_trajectory, sample_batch,
-                       sample_perpetuity, to_csv, two_sample_ks)
+                       atom_scan, cf_modulus_grid, empirical_cf,
+                       empirical_moment, fixed_point_residual, ks_distance,
+                       sample_batch, sample_perpetuity, to_csv, two_sample_ks)
 from .streams import RandomStream, derive_seed
 from .verify import CHECKS, run_check
 
@@ -49,16 +46,15 @@ __all__ = [
     "UniformDiscreteRange", "Exponential", "Gamma", "Beta", "Weibull",
     "Poisson", "InverseGamma", "SignedRademacher", "LogPareto", "FAMILIES",
     "Independent", "FiniteJoint",
-    "sample_scalar", "sample_joint", "restricted_exp_moment", "event_prob",
-    "law_to_json", "law_from_json", "joint_to_json", "joint_from_json",
+    "event_prob", "law_to_json", "law_from_json", "joint_to_json",
+    "joint_from_json",
     "ExistenceReport", "existence_report", "degeneracy_scan",
     "log_contraction_profile", "product_vanishes_verdict",
     "tail_integral_verdict",
     "VERDICT_CONVERGES", "VERDICT_DIVERGES",
     "VERDICT_DEGENERATE", "VERDICT_EXACT_STOP", "VERDICT_UNKNOWN",
-    "PerpetuityConfig", "SampleOutcome", "EmpiricalDistribution", "Trajectory",
-    "sample_perpetuity", "sample_batch", "forward_iterate",
-    "partial_sum_trajectory", "fixed_point_residual", "ks_distance",
+    "PerpetuityConfig", "SampleOutcome", "EmpiricalDistribution",
+    "sample_perpetuity", "sample_batch", "fixed_point_residual", "ks_distance",
     "two_sample_ks", "empirical_cf", "cf_modulus_grid", "empirical_moment",
     "atom_scan", "to_csv", "DEFAULT_EPSILON", "DEFAULT_MAX_TERMS",
     "MomentReport", "ExpFeasibility", "AbscissaResult", "classify_regime",
@@ -68,7 +64,6 @@ __all__ = [
     "REGIME_EXPANDING",
     "OracleSpec", "PurityProbe", "oracle_geometric", "oracle_uniform_digits",
     "oracle_uniform_symmetric", "oracle_gamma_sizebias", "oracle_levy_half",
-    "oracle_pitman_yor", "pitman_yor_lt", "bernoulli_convolution_cf",
-    "purity_probe",
+    "pitman_yor_lt", "bernoulli_convolution_cf", "purity_probe",
     "CHECKS", "run_check",
 ]

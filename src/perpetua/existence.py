@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .laws import FiniteJoint, Independent, JointLaw, ScalarLaw, event_prob
+from .laws import (FiniteJoint, Independent, JointLaw, ScalarLaw, _abs_below_one,
+                   event_prob)
 from .laws import _quad  # shared quadrature settings
 from .streams import RandomStream
 
@@ -100,10 +101,14 @@ def product_vanishes_verdict(law_m: ScalarLaw) -> str:
     """Whether M_1 M_2 ... M_n -> 0 a.s.; "yes", "no", or "unknown".
 
     Decided by the sign of E log|M| (the strong law): negative, including
-    -inf, gives "yes"; nonnegative gives "no".  Requires P{M = 0} = 0.
+    -inf, gives "yes"; nonnegative gives "no".  When |M| < 1 a.s., log|M| < 0
+    a.s. and the answer is "yes" even where E log|M| rounds to 0, as for
+    Beta(1e300, 1e-300).  Requires P{M = 0} = 0.
     """
     if law_m.point_prob(0.0) > 0:
         raise PreconditionError("product verdict undefined: P{M = 0} > 0")
+    if _abs_below_one(law_m):
+        return "yes"
     drift = law_m.log_abs_mean()
     if math.isnan(drift):
         return "unknown"

@@ -15,7 +15,8 @@ Where each functional comes from:
 - uniform, exponential, gamma, beta, weibull, inverse_gamma, log_pareto:
   closed forms, except adaptive quadrature (relative tolerance 1e-10) for
   E e^{sX} of weibull, inverse_gamma and log_pareto and for E log^+ X of
-  gamma, weibull and inverse_gamma.
+  gamma, weibull and inverse_gamma.  E M^p and E log M of beta(a, b) switch
+  to large-a expansions where the closed forms cancel.
 - poisson: closed forms for the cdf, the pmf and E e^{sX}; E|X|^p and
   E log^+ X sum a window around the mean, integer by integer or, for a
   large mean, by the trapezoid rule.
@@ -57,6 +58,10 @@ _POISSON_NODES = 4096
 _RANGE_EXACT_MAX = 1 << 16
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# Beta(a, b) moments use large-a expansions from a = _BETA_ASYMPTOTIC * max(p, 1)
+# on, where the betaln and digamma differences cancel; the omitted terms are
+# below 1e-17 * max(p, 1) in log E M^p there
+_BETA_ASYMPTOTIC = 1e4
 
 EVENTS = ("M=0", "M=1", "M=-1", "|M|=1", "|M|<1", "|M|<=1", "|M|>1", "Q=0")
 
@@ -81,6 +86,14 @@ def _quad(f, lo, hi, points=None) -> float:
 def _exp(x: float) -> float:
     """exp that saturates to inf instead of raising OverflowError."""
     return math.exp(x) if x < 709.0 else math.inf
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y for x >= 0 that saturates to inf instead of raising OverflowError."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
 
 
 def _log_gamma_parts(a: float, l0: float) -> tuple[float, float]:
@@ -161,9 +174,6 @@ class ScalarLaw:
 
     def sample_block(self, gen, size: int) -> np.ndarray:
         raise NotImplementedError
-
-    def sample(self, gen) -> float:
-        return float(self.sample_block(gen, 1)[0])
 
     # -- distribution functions ------------------------------------------
 
@@ -622,10 +632,25 @@ class Beta(ScalarLaw):
     def support(self):
         return (0.0, 1.0)
 
+    def _large_alpha_terms(self) -> tuple[float, float, float, float]:
+        """log1p(b/a), d = 1/a - 1/(a+b) = b/(a(a+b)), u = 1/a and v = 1/(a+b)."""
+        a, b = self.alpha, self.beta
+        v = 1.0 / (a + b)
+        return math.log1p(b / a), b * v / a, 1.0 / a, v
+
     def abs_moment(self, p):
         self._check_p(p)
         a, b = self.alpha, self.beta
-        return math.exp(special.betaln(a + p, b) - special.betaln(a, b))
+        if a < _BETA_ASYMPTOTIC * max(p, 1.0):
+            return math.exp(special.betaln(a + p, b) - special.betaln(a, b))
+        # log E M^p = D(a) - D(a+b) with D(z) = log Gamma(z+p) - log Gamma(z)
+        # = p log z + c2/z + c3/z^2 + c4/z^3 + O(p^5 / z^4); the p log z
+        # terms give -p log1p(b/a), the rest d (c2 + c3 (u+v) + c4 (u^2+uv+v^2))
+        c2 = p * (p - 1.0) / 2.0
+        c3 = -p * (p - 1.0) * (2.0 * p - 1.0) / 12.0
+        c4 = (p * (p - 1.0)) ** 2 / 12.0
+        log_ratio, d, u, v = self._large_alpha_terms()
+        return math.exp(-p * log_ratio + d * (c2 + c3 * (u + v) + c4 * (u * u + u * v + v * v)))
 
     def exp_moment(self, s, of_abs=False):
         return float(special.hyp1f1(self.alpha, self.alpha + self.beta, s))
@@ -634,7 +659,11 @@ class Beta(ScalarLaw):
         return math.inf
 
     def log_abs_mean(self):
-        return float(special.digamma(self.alpha) - special.digamma(self.alpha + self.beta))
+        if self.alpha < _BETA_ASYMPTOTIC:
+            return float(special.digamma(self.alpha) - special.digamma(self.alpha + self.beta))
+        # digamma(z) = log z - 1/(2z) - 1/(12 z^2) + O(1/z^4), differenced as above
+        log_ratio, d, u, v = self._large_alpha_terms()
+        return -log_ratio - d * (0.5 + (u + v) / 12.0)
 
     def log_plus_abs_moment(self):
         return 0.0
@@ -659,13 +688,13 @@ class Weibull(ScalarLaw):
     def cdf(self, x):
         if x <= 0:
             return 0.0
-        return -math.expm1(-((x / self.scale) ** self.shape))
+        return -math.expm1(-_pow(x / self.scale, self.shape))
 
     def prob_abs_gt(self, u):
         # the survival function itself: 1 - cdf(u) rounds tails below 1e-16 to 0
         if u <= 0:
             return 1.0
-        return math.exp(-((u / self.scale) ** self.shape))
+        return math.exp(-_pow(u / self.scale, self.shape))
 
     def support(self):
         return (0.0, math.inf)
@@ -685,7 +714,7 @@ class Weibull(ScalarLaw):
             return math.inf
 
         def f(u):
-            return _exp(s * lam * u ** (1.0 / k) - u)
+            return _exp(s * lam * _pow(u, 1.0 / k) - u)
 
         return _quad(f, 0.0, math.inf)
 
@@ -701,7 +730,9 @@ class Weibull(ScalarLaw):
 
     def log_plus_abs_moment(self):
         k, lam = self.shape, self.scale
-        u0 = lam ** (-k)
+        u0 = _pow(lam, -k)
+        if u0 == math.inf:  # log^+ X = 0 unless (X / lam)^k >= u0
+            return 0.0
 
         def f(u):
             return (math.log(lam) + math.log(u) / k) * math.exp(-u)
@@ -959,6 +990,7 @@ class Independent:
         return ms, qs
 
     def restricted_exp_moment(self, s: float, q_sign: int, m_atom: float) -> float:
+        """E e^{(q_sign) s Q} 1{M = m_atom} for s >= 0 and q_sign in {-1, +1}."""
         pm = self.law_m.point_prob(m_atom)
         if pm == 0.0:
             return 0.0
@@ -1054,26 +1086,6 @@ JointLaw = Union[Independent, FiniteJoint]
 # module-level operations
 
 
-def sample_scalar(law: ScalarLaw, stream: RandomStream) -> float:
-    """Draw one value of ``law`` from the stream's main lane."""
-    return law.sample(stream.generator(LANE_MAIN))
-
-
-def sample_joint(joint: JointLaw, stream: RandomStream) -> tuple[float, float]:
-    """Draw one (M, Q) pair."""
-    ms, qs = joint.draw_pairs(stream, 1)
-    return float(ms[0]), float(qs[0])
-
-
-def restricted_exp_moment(joint: JointLaw, s: float, q_sign: int, m_atom: float) -> float:
-    """E e^{(q_sign) s Q} 1{M = m_atom} for s >= 0 and q_sign in {-1, +1}."""
-    if s < 0:
-        raise PreconditionError("restricted_exp_moment: s must be >= 0")
-    if q_sign not in (-1, 1):
-        raise PreconditionError("restricted_exp_moment: q_sign must be -1 or +1")
-    return joint.restricted_exp_moment(s, q_sign, m_atom)
-
-
 def event_prob(joint: JointLaw, event: str) -> float:
     """Probability of a structural event such as "M=0" or "|M|<=1"."""
     m = joint.marginal_m()
@@ -1095,6 +1107,16 @@ def event_prob(joint: JointLaw, event: str) -> float:
     if event == "Q=0":
         return q.point_prob(0.0)
     raise PreconditionError(f"unknown event {event!r}; valid events: {', '.join(EVENTS)}")
+
+
+def _abs_below_one(law: ScalarLaw) -> bool:
+    """Whether P{|X| < 1} = 1, read off the support and the atoms at +-1.
+
+    A probability computed as 1 may have rounded a positive remainder away;
+    the support bounds and the atom probabilities are exact.
+    """
+    lo, hi = law.support()
+    return -1.0 <= lo and hi <= 1.0 and law.point_prob(1.0) == law.point_prob(-1.0) == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .existence import VERDICT_CONVERGES, existence_report
-from .laws import JointLaw, ScalarLaw, event_prob, restricted_exp_moment
+from .laws import JointLaw, ScalarLaw, _abs_below_one, event_prob
 
 REGIME_CONTRACTING = "all-contracting"
 REGIME_BOUNDARY = "boundary"
@@ -135,7 +135,10 @@ def classify_regime(joint: JointLaw) -> str:
 
 
 def p_moment_criterion(joint: JointLaw, p: float) -> MomentReport:
-    """Finiteness of E|Z|^p: equivalent to E|M|^p < 1 and E|Q|^p < inf."""
+    """Finiteness of E|Z|^p: equivalent to E|M|^p < 1 and E|Q|^p < inf.
+
+    E|M|^p < 1 holds whenever |M| < 1 a.s., also where E|M|^p rounds to 1.
+    """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise PreconditionError(f"p must be a finite real > 0, got {p!r}")
     _require_nondegenerate(joint, "p_moment_criterion")
@@ -145,7 +148,7 @@ def p_moment_criterion(joint: JointLaw, p: float) -> MomentReport:
     except OverflowError:
         raise PreconditionError(
             f"E|M|^p or E|Q|^p exceeds the float range at p = {p!r}") from None
-    finite = m_pow < 1.0 and math.isfinite(q_pow)
+    finite = (m_pow < 1.0 or _abs_below_one(joint.marginal_m())) and math.isfinite(q_pow)
     bound = _zstar_from_moments(p, m_pow, q_pow) if finite else math.inf
     return MomentReport(float(p), m_pow, q_pow, finite, bound)
 
@@ -180,10 +183,10 @@ def _zstar_from_moments(p: float, m_pow: float, q_pow: float) -> float:
 
 
 def _boundary_terms(joint: JointLaw, s: float) -> tuple[float, float, float, float]:
-    a_minus = restricted_exp_moment(joint, s, -1, 1.0)
-    a_plus = restricted_exp_moment(joint, s, +1, 1.0)
-    b_minus = restricted_exp_moment(joint, s, -1, -1.0)
-    b_plus = restricted_exp_moment(joint, s, +1, -1.0)
+    a_minus = joint.restricted_exp_moment(s, -1, 1.0)
+    a_plus = joint.restricted_exp_moment(s, +1, 1.0)
+    b_minus = joint.restricted_exp_moment(s, -1, -1.0)
+    b_plus = joint.restricted_exp_moment(s, +1, -1.0)
     return a_minus, a_plus, b_minus, b_plus
 
 
@@ -305,22 +308,12 @@ def exp_perpetuity_moment(a: float, law_m: ScalarLaw, n: int) -> float:
     return math.factorial(n) / (a ** n * prod)
 
 
-def _ch_ratios(moments) -> list[float]:
-    if len(moments) < 3:
+def cauchy_hadamard_estimate(moments) -> float:
+    """Abscissa estimate a_{N-1}/a_N from the sequence E Z^1..E Z^N, a_n = E Z^n/n!."""
+    n = len(moments)
+    if n < 3:
         raise PreconditionError("cauchy_hadamard_estimate needs at least 3 moments")
     for m in moments:
         if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 0):
             raise PreconditionError("moment entries must be finite and positive")
-    a = [m / math.factorial(k + 1) for k, m in enumerate(moments)]
-    return [a[k] / a[k + 1] for k in range(len(a) - 1)]
-
-
-def cauchy_hadamard_estimate(moments) -> float:
-    """Abscissa estimate a_{N-1}/a_N from the sequence E Z^1..E Z^N, a_n = E Z^n/n!."""
-    return _ch_ratios(moments)[-1]
-
-
-def cauchy_hadamard_detail(moments) -> dict:
-    """Estimate plus the last three ratios for convergence inspection."""
-    ratios = _ch_ratios(moments)
-    return {"estimate": ratios[-1], "last_ratios": ratios[-3:]}
+    return (moments[-2] / math.factorial(n - 1)) / (moments[-1] / math.factorial(n))

@@ -194,10 +194,6 @@ def oracle_pitman_yor_identity(s_grid) -> float:
     return worst
 
 
-def oracle_pitman_yor() -> OracleSpec:
-    return OracleSpec("pitman-yor-lt", {}, lt=lambda s: np.vectorize(pitman_yor_lt)(s))
-
-
 @dataclass
 class PurityProbe:
     atoms: list

@@ -4,8 +4,7 @@ Backward iteration accumulates Z_n = sum of Pi_{k-1} Q_k while maintaining
 the running product Pi_k = M_1 ... M_k; it stops exactly at the first zero
 factor (which happens a.s. when P{M = 0} > 0, making the sample exact), else
 once |Pi_k| falls below the truncation threshold epsilon, else at max_terms
-(flagged as exhausted).  Forward iteration of the random affine maps
-Phi_k = Q_k + M_k Phi_{k-1} is provided for distributional comparisons.
+(flagged as exhausted).
 
 Batches draw sample i from the dedicated stream (seed, stream_id=i), so the
 result is a pure function of (config, n) no matter how the ids are chunked.
@@ -155,12 +154,6 @@ class EmpiricalDistribution:
             "quantiles": qs,
             "atoms": [[float(v), float(p)] for v, p in atom_scan(self, min_prob)],
         }
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    values: tuple
-    kind: str  # "backward-partial-sums" or "forward-ifs"
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -353,36 +346,6 @@ def sample_batch(config: PerpetuityConfig, n: int) -> EmpiricalDistribution:
         "stream_ids": [0, n],
     }
     return EmpiricalDistribution(values, n, n_truncated, n_exhausted, provenance)
-
-
-def forward_iterate(joint: JointLaw, phi0: float, n: int,
-                    stream: RandomStream) -> Trajectory:
-    """Iterate the random affine maps forward: Phi_k = Q_k + M_k Phi_{k-1}.
-
-    Returns Phi_0..Phi_n.  The iterates converge in distribution (not a.s.)
-    to the perpetuity law when it exists.
-    """
-    if n < 1:
-        raise PreconditionError("forward_iterate requires n >= 1")
-    ms, qs = joint.draw_pairs(stream, n)
-    vals = np.empty(n + 1)
-    vals[0] = phi0
-    for k in range(n):
-        vals[k + 1] = qs[k] + ms[k] * vals[k]
-    return Trajectory(tuple(float(v) for v in vals), "forward-ifs")
-
-
-def partial_sum_trajectory(joint: JointLaw, n: int,
-                           stream: RandomStream) -> Trajectory:
-    """Backward partial sums Z_1..Z_n along a single (M, Q) realization."""
-    if n < 1:
-        raise PreconditionError("partial_sum_trajectory requires n >= 1")
-    ms, qs = joint.draw_pairs(stream, n)
-    weights = np.empty(n)
-    weights[0] = 1.0
-    np.cumprod(ms[:-1], out=weights[1:])
-    z = np.cumsum(weights * qs)
-    return Trajectory(tuple(float(v) for v in z), "backward-partial-sums")
 
 
 def ks_distance(emp: EmpiricalDistribution, cdf: Callable) -> float:

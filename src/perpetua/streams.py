@@ -106,7 +106,3 @@ class RandomStream:
                 gen = self.pool.rekeyed(lane, key)
             self._gens[lane] = gen
         return gen
-
-    def fresh(self) -> "RandomStream":
-        """A rewound copy of this stream (same address, no draws consumed)."""
-        return RandomStream(self.seed, self.stream_id, self.pool)

@@ -28,7 +28,7 @@ from perpetua.laws import (EVENTS, FAMILIES, Beta, Exponential, FiniteDiscrete,
                            FiniteJoint, Gamma, Independent, InverseGamma,
                            LogPareto, PointMass, Poisson, SignedRademacher,
                            UniformContinuous, UniformDiscreteRange, Weibull,
-                           event_prob, joint_to_json, restricted_exp_moment)
+                           event_prob, joint_to_json)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "analysis_golden.json")
 
@@ -198,7 +198,7 @@ def golden_rows():
             rows[f"{name}.event_prob"] = _grid(lambda e: event_prob(joint, e),
                                                [(e,) for e in EVENTS])
             rows[f"{name}.restricted_exp_moment"] = _grid(
-                lambda s, sign, atom: restricted_exp_moment(joint, s, sign, atom),
+                lambda s, sign, atom: joint.restricted_exp_moment(s, sign, atom),
                 [(s, sign, atom) for s in (0.0, 0.5, 2.0) for sign in (-1, 1)
                  for atom in (1.0, -1.0, 0.5)])
             rows.update(law_rows(f"{name}.M", joint.marginal_m()))

@@ -243,6 +243,50 @@ def test_analyze_largest_parameters_finishes_fast(q, tmp_path, capsys):
     assert all(m["finite"] and m["q_pow"] > 1e18 for m in report["moments"])
 
 
+EXP_ONE = {"family": "exponential", "params": {"rate": 1.0}}
+UNIFORM_01 = {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}}
+# Weibull powers (x / scale)^shape past the float range once overflowed; as M
+# with scale >= 2 and shape >= 300 the law sits near scale > 1 and diverges
+WEIBULL_EDGES = [(role, shape, scale) for shape in (1e300, 1e-300, 300.0)
+                 for scale in (0.5, 2.0, 1e300, 1e-300) for role in ("M", "Q")]
+# Beta(a, b) with a >> b once had E log M = 0 and E M^p = 1 by cancellation
+BETA_EDGES = [(1e15, 1.0), (1e15, 2.5), (1e15, 1e-300), (1e300, 1.0), (1e300, 2.5),
+              (1e300, 1e-300), (1e6, 1e-300), (1e300, 1e300)]
+
+
+def _analyze_clean(tmp_path, capsys, config):
+    """``analyze --p 1 --p 2 --json``: exit 0, strict JSON, no stderr, no warning."""
+    cfg = _write(tmp_path, config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", cfg, "--p", "1", "--p", "2", "--json"]) == 0
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return json.loads(captured.out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("role, shape, scale", WEIBULL_EDGES)
+def test_analyze_weibull_at_float_limits(role, shape, scale, tmp_path, capsys):
+    weibull = {"family": "weibull", "params": {"shape": shape, "scale": scale}}
+    config = {"coupling": "independent", "M": weibull, "Q": EXP_ONE} if role == "M" \
+        else {"coupling": "independent", "M": UNIFORM_01, "Q": weibull}
+    report = _analyze_clean(tmp_path, capsys, config)
+    converges = role == "Q" or scale < 1.0 or shape < 1.0
+    assert report["existence"]["verdict"] == ("converges-a.s." if converges
+                                              else "diverges-in-probability")
+
+
+@pytest.mark.parametrize("alpha, beta", BETA_EDGES)
+def test_analyze_beta_with_alpha_far_above_beta(alpha, beta, tmp_path, capsys):
+    config = {"coupling": "independent",
+              "M": {"family": "beta", "params": {"alpha": alpha, "beta": beta}}, "Q": EXP_ONE}
+    report = _analyze_clean(tmp_path, capsys, config)
+    assert report["existence"]["verdict"] == "converges-a.s."
+    # 0 < M < 1 a.s., so E M^p < 1 for every p
+    assert [m["finite"] for m in report["moments"]] == [True, True]
+
+
 def test_failed_draw_is_usage_error(tmp_path, capsys, monkeypatch):
     def fail(self, stream, size):
         raise RuntimeError("no draw")

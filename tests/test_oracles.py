@@ -9,8 +9,7 @@ from perpetua.laws import (FiniteDiscrete, Independent, InverseGamma,
                            PointMass, SignedRademacher, Weibull)
 from perpetua.oracles import (bernoulli_convolution_cf, levy_q_lt_residual,
                               oracle_gamma_sizebias, oracle_geometric,
-                              oracle_levy_half, oracle_pitman_yor,
-                              oracle_pitman_yor_identity,
+                              oracle_levy_half, oracle_pitman_yor_identity,
                               oracle_uniform_digits, oracle_uniform_symmetric,
                               pitman_yor_lt, purity_probe)
 from perpetua.sampling import PerpetuityConfig, sample_batch
@@ -191,15 +190,6 @@ def test_pitman_yor_identity_residual_small():
 def test_pitman_yor_identity_rejects_bad_grid():
     with pytest.raises(PreconditionError):
         oracle_pitman_yor_identity((0.5, 0.0))
-
-
-def test_pitman_yor_spec_vectorizes_lt():
-    spec = oracle_pitman_yor()
-    s = np.array([0.5, 1.0, 2.0])
-    want = [pitman_yor_lt(v) for v in s]
-    np.testing.assert_allclose(spec.lt(s), want, rtol=1e-15)
-    assert spec.name == "pitman-yor-lt"
-    assert spec.joint is None
 
 
 # --- bernoulli convolution CF ------------------------------------------------

@@ -13,9 +13,8 @@ from perpetua.sampling import (_CF_SPACING, EmpiricalDistribution,
                                PerpetuityConfig, _batch_chunk, _cf_parts,
                                atom_scan, cf_modulus_grid, empirical_cf,
                                empirical_moment, fixed_point_residual,
-                               forward_iterate, ks_distance,
-                               partial_sum_trajectory, sample_batch,
-                               sample_perpetuity, to_csv, two_sample_ks)
+                               ks_distance, sample_batch, sample_perpetuity,
+                               to_csv, two_sample_ks)
 from perpetua.streams import RandomStream
 
 HALF_ONE = Independent(PointMass(0.5), PointMass(1.0))
@@ -102,37 +101,20 @@ def test_config_validation():
         PerpetuityConfig(U_EXP, seed=1.5)
 
 
-def test_forward_iterate_deterministic_maps():
-    traj = forward_iterate(HALF_ONE, 0.0, 3, RandomStream(0, 0))
-    assert traj.kind == "forward-ifs"
-    assert traj.values == (0.0, 1.0, 1.5, 1.75)
-
-
 def test_partial_sum_trajectory_deterministic_maps():
-    traj = partial_sum_trajectory(HALF_ONE, 4, RandomStream(0, 0))
-    assert traj.kind == "backward-partial-sums"
-    assert traj.values == (1.0, 1.5, 1.75, 1.875)
-
-
-def test_forward_and_backward_agree_for_deterministic_pairs():
-    # with Phi_0 = 0 both recursions produce c(1 - Pi_n) along any path
-    fwd = forward_iterate(HALF_ONE, 0.0, 6, RandomStream(3, 1))
-    bwd = partial_sum_trajectory(HALF_ONE, 6, RandomStream(3, 1))
-    assert fwd.values[1:] == bwd.values
+    # a draw that exhausts max_terms = k is the backward partial sum Z_k
+    for k, want in enumerate((1.0, 1.5, 1.75, 1.875), start=1):
+        out = sample_perpetuity(PerpetuityConfig(HALF_ONE, max_terms=k), RandomStream(0, 0))
+        assert out.exhausted and out.terms == k
+        assert out.value == want
 
 
 def test_partial_sums_are_cauchy_for_contracting_config():
-    traj = partial_sum_trajectory(U_EXP, 400, RandomStream(0, 7))
-    z = traj.values
-    assert abs(z[399] - z[199]) < 1e-12
-    assert abs(z[399] - z[49]) < 1e-3
-
-
-def test_trajectory_preconditions():
-    with pytest.raises(PreconditionError):
-        forward_iterate(HALF_ONE, 0.0, 0, RandomStream(0, 0))
-    with pytest.raises(PreconditionError):
-        partial_sum_trajectory(HALF_ONE, 0, RandomStream(0, 0))
+    # one path read to 400, 200 and 50 terms; epsilon stops none of them
+    z = {k: sample_perpetuity(PerpetuityConfig(U_EXP, epsilon=1e-300, max_terms=k),
+                              RandomStream(0, 7)).value for k in (50, 200, 400)}
+    assert abs(z[400] - z[200]) < 1e-12
+    assert abs(z[400] - z[50]) < 1e-3
 
 
 def _emp(values) -> EmpiricalDistribution:
