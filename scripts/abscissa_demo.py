@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from perpetua.laws import (Exponential, FiniteDiscrete, Independent,
                            UniformContinuous)
-from perpetua.moments import r_of_perpetuity, r_star
+from perpetua.moments import r_of_perpetuity
 
 
 def main() -> int:
@@ -39,8 +39,8 @@ def main() -> int:
         joint = Independent(FiniteDiscrete((1.0, 0.5), (w, 1.0 - w)),
                             Exponential(args.rate))
         closed = args.rate * (1.0 - w)
-        star = r_star(joint, tol=1e-9)
         res = r_of_perpetuity(joint)
+        star = res.r_star
         rows.append({"w": round(w, 6), "closed_form": closed,
                      "bisected_r_star": star, "r_Z": res.r_z,
                      "abs_err": abs(star - closed)})

@@ -11,8 +11,7 @@ from .errors import (LawValidationError, NonConvergentError, PerpetuaError,
 from .existence import (VERDICT_CONVERGES, VERDICT_DEGENERATE,
                         VERDICT_DIVERGES, VERDICT_EXACT_STOP, VERDICT_UNKNOWN,
                         ExistenceReport, degeneracy_scan, existence_report,
-                        log_contraction_profile, product_vanishes_verdict,
-                        tail_integral_verdict)
+                        product_vanishes_verdict, tail_integral_verdict)
 from .laws import (FAMILIES, Beta, Exponential, FiniteDiscrete, FiniteJoint,
                    Gamma, Independent, InverseGamma, LogPareto, PointMass,
                    Poisson, ScalarLaw, SignedRademacher, UniformContinuous,
@@ -22,8 +21,7 @@ from .moments import (REGIME_BOUNDARY, REGIME_CONTRACTING, REGIME_EXPANDING,
                       AbscissaResult, ExpFeasibility, MomentReport,
                       cauchy_hadamard_estimate, classify_regime,
                       exp_feasible_at, exp_perpetuity_moment,
-                      p_moment_criterion, r_of_perpetuity, r_star,
-                      zstar_bound)
+                      p_moment_criterion, r_of_perpetuity, zstar_bound)
 from .oracles import (OracleSpec, PurityProbe, bernoulli_convolution_cf,
                       oracle_gamma_sizebias, oracle_geometric,
                       oracle_levy_half, oracle_uniform_digits,
@@ -49,8 +47,7 @@ __all__ = [
     "event_prob", "law_to_json", "law_from_json", "joint_to_json",
     "joint_from_json",
     "ExistenceReport", "existence_report", "degeneracy_scan",
-    "log_contraction_profile", "product_vanishes_verdict",
-    "tail_integral_verdict",
+    "product_vanishes_verdict", "tail_integral_verdict",
     "VERDICT_CONVERGES", "VERDICT_DIVERGES",
     "VERDICT_DEGENERATE", "VERDICT_EXACT_STOP", "VERDICT_UNKNOWN",
     "PerpetuityConfig", "SampleOutcome", "EmpiricalDistribution",
@@ -58,7 +55,7 @@ __all__ = [
     "two_sample_ks", "empirical_cf", "cf_modulus_grid", "empirical_moment",
     "atom_scan", "to_csv", "DEFAULT_EPSILON", "DEFAULT_MAX_TERMS",
     "MomentReport", "ExpFeasibility", "AbscissaResult", "classify_regime",
-    "p_moment_criterion", "zstar_bound", "exp_feasible_at", "r_star",
+    "p_moment_criterion", "zstar_bound", "exp_feasible_at",
     "r_of_perpetuity", "exp_perpetuity_moment",
     "cauchy_hadamard_estimate", "REGIME_CONTRACTING", "REGIME_BOUNDARY",
     "REGIME_EXPANDING",

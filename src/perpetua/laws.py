@@ -15,8 +15,9 @@ Where each functional comes from:
 - uniform, exponential, gamma, beta, weibull, inverse_gamma, log_pareto:
   closed forms, except adaptive quadrature (relative tolerance 1e-10) for
   E e^{sX} of weibull, inverse_gamma and log_pareto and for E log^+ X of
-  gamma, weibull and inverse_gamma.  E M^p and E log M of beta(a, b) switch
-  to large-a expansions where the closed forms cancel.
+  gamma and inverse_gamma.  E M^p and E log M of beta(a, b) switch to
+  large-a expansions, and E log M to a series in b for b << a, where the
+  closed forms cancel.
 - poisson: closed forms for the cdf, the pmf and E e^{sX}; E|X|^p and
   E log^+ X sum a window around the mean, integer by integer or, for a
   large mean, by the trapezoid rule.
@@ -58,10 +59,16 @@ _POISSON_NODES = 4096
 _RANGE_EXACT_MAX = 1 << 16
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_FLOAT_TINY = np.finfo(float).tiny
 # Beta(a, b) moments use large-a expansions from a = _BETA_ASYMPTOTIC * max(p, 1)
 # on, where the betaln and digamma differences cancel; the omitted terms are
 # below 1e-17 * max(p, 1) in log E M^p there
 _BETA_ASYMPTOTIC = 1e4
+# below it, E log M of Beta(a, b) is a series in b from b = _BETA_SMALL * a
+# down, where the digamma difference cancels; its terms fall by a factor of
+# b / a or more, so _BETA_SMALL_TERMS of them reach 1e-18 relative
+_BETA_SMALL = 0.01
+_BETA_SMALL_TERMS = 9
 
 EVENTS = ("M=0", "M=1", "M=-1", "|M|=1", "|M|<1", "|M|<=1", "|M|>1", "Q=0")
 
@@ -75,10 +82,9 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def _quad(f, lo, hi, points=None) -> float:
+def _quad(f, lo, hi) -> float:
     val, _ = integrate.quad(
         f, lo, hi, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT,
-        points=points,
     )
     return val
 
@@ -659,11 +665,23 @@ class Beta(ScalarLaw):
         return math.inf
 
     def log_abs_mean(self):
-        if self.alpha < _BETA_ASYMPTOTIC:
-            return float(special.digamma(self.alpha) - special.digamma(self.alpha + self.beta))
-        # digamma(z) = log z - 1/(2z) - 1/(12 z^2) + O(1/z^4), differenced as above
-        log_ratio, d, u, v = self._large_alpha_terms()
-        return -log_ratio - d * (0.5 + (u + v) / 12.0)
+        a, b = self.alpha, self.beta
+        if a >= _BETA_ASYMPTOTIC:
+            # digamma(z) = log z - 1/(2z) - 1/(12 z^2) + O(1/z^4), differenced as above
+            log_ratio, d, u, v = self._large_alpha_terms()
+            return -log_ratio - d * (0.5 + (u + v) / 12.0)
+        if b > _BETA_SMALL * a:
+            return float(special.digamma(a) - special.digamma(a + b))
+        # digamma(a) - digamma(a + b) = -sum_n b^n psi^(n)(a) / n!, and
+        # psi^(n)(a) / n! = (-1)^(n+1) zeta(n + 1, a); below a = 1 the
+        # recurrence psi(a) = psi(a + 1) - 1/a moves the series to a + 1,
+        # where zeta stays in the float range
+        shift = 0.0
+        if a < 1.0:
+            shift = -(b / a) / (a + b)
+            a += 1.0
+        n = np.arange(1, _BETA_SMALL_TERMS + 1)
+        return shift + float(np.sum((-b) ** n * special.zeta(n + 1.0, a)))
 
     def log_plus_abs_moment(self):
         return 0.0
@@ -729,15 +747,15 @@ class Weibull(ScalarLaw):
         return math.log(self.scale) - np.euler_gamma / self.shape
 
     def log_plus_abs_moment(self):
+        # X = lam U^(1/k) with U ~ Exp(1), and log X > 0 exactly when U > u0 =
+        # lam^-k; integrating (log lam + log u / k) e^-u over (u0, inf) by parts
+        # leaves E1(u0) / k.  Below the normal range, E1(u0) = -gamma - log u0
+        # to within u0, which gives E log X; a u0 of inf leaves exp1(inf) = 0.
         k, lam = self.shape, self.scale
         u0 = _pow(lam, -k)
-        if u0 == math.inf:  # log^+ X = 0 unless (X / lam)^k >= u0
-            return 0.0
-
-        def f(u):
-            return (math.log(lam) + math.log(u) / k) * math.exp(-u)
-
-        return _quad(f, u0, math.inf)
+        if u0 < _FLOAT_TINY:
+            return self.log_abs_mean()
+        return float(special.exp1(u0)) / k
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ REGIME_BOUNDARY = "boundary"
 REGIME_EXPANDING = "expanding"
 
 _BRACKET_CAP = 1e18
+# bisection tolerance for r*, absolute
+_R_STAR_TOL = 1e-9
 
 
 def _ext(x):
@@ -216,14 +218,19 @@ def exp_feasible_at(joint: JointLaw, s: float) -> ExpFeasibility:
     return ExpFeasibility(feasible, regime, a_minus, a_plus, b_minus, b_plus, q_exp)
 
 
-def _r_star_search(joint: JointLaw, tol: float) -> tuple[float, tuple]:
+def _r_star_search(joint: JointLaw) -> tuple[float, tuple]:
+    """r* = sup{s > 0 : the boundary predicate holds} and the bisection trace.
+
+    The predicate set equals {s : E e^{s|Z|} < inf} up to its endpoint, an
+    interval, so bracket doubling and bisection are sound.
+    """
     def pred(s: float) -> bool:
         return _boundary_feasible(*_boundary_terms(joint, s))
 
     trace = []
-    if not pred(tol):
-        return 0.0, ((tol, tol),)
-    lo, hi = tol, 1.0
+    if not pred(_R_STAR_TOL):
+        return 0.0, ((_R_STAR_TOL, _R_STAR_TOL),)
+    lo, hi = _R_STAR_TOL, 1.0
     if pred(1.0):
         lo = 1.0
         hi = 2.0
@@ -232,9 +239,9 @@ def _r_star_search(joint: JointLaw, tol: float) -> tuple[float, tuple]:
             if hi > _BRACKET_CAP:
                 return math.inf, tuple(trace) + ((lo, math.inf),)
         trace.append((lo, hi))
-    while hi - lo > tol:
+    while hi - lo > _R_STAR_TOL:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats, wider apart than tol
+        if not lo < mid < hi:  # lo and hi are adjacent floats, wider apart than _R_STAR_TOL
             break
         if pred(mid):
             lo = mid
@@ -244,22 +251,7 @@ def _r_star_search(joint: JointLaw, tol: float) -> tuple[float, tuple]:
     return 0.5 * (lo + hi), tuple(trace)
 
 
-def r_star(joint: JointLaw, tol: float = 1e-9) -> float:
-    """sup{s > 0 : the boundary-regime predicate holds}, by bisection.
-
-    The predicate set equals {s : E e^{s|Z|} < inf} up to its endpoint, an
-    interval, so bracketing is sound.  Requires the boundary regime.
-    """
-    if not (0 < tol < 1):
-        raise PreconditionError(f"tol must be in (0, 1), got {tol!r}")
-    if classify_regime(joint) != REGIME_BOUNDARY:
-        raise PreconditionError("r_star requires the boundary regime "
-                                "(P{|M|=1} in (0,1) and P{|M|<=1} = 1)")
-    value, _ = _r_star_search(joint, tol)
-    return value
-
-
-def r_of_perpetuity(joint: JointLaw, tol: float = 1e-9) -> AbscissaResult:
+def r_of_perpetuity(joint: JointLaw) -> AbscissaResult:
     """Abscissa of convergence r(Z) of the perpetuity's exponential moments."""
     _require_nondegenerate(joint, "r_of_perpetuity")
     rep = existence_report(joint)
@@ -274,7 +266,7 @@ def r_of_perpetuity(joint: JointLaw, tol: float = 1e-9) -> AbscissaResult:
         return AbscissaResult(regime, r_q, math.inf, r_q, None, None)
     if regime == REGIME_EXPANDING:
         return AbscissaResult(regime, r_q, None, 0.0, None, None)
-    star, trace = _r_star_search(joint, tol)
+    star, trace = _r_star_search(joint)
     r_z = min(r_q, star)
     detail = None
     if math.isfinite(r_z):

@@ -17,7 +17,7 @@ from .errors import PreconditionError
 from .laws import (Exponential, FiniteDiscrete, Independent, PointMass,
                    SignedRademacher, UniformContinuous)
 from .moments import (cauchy_hadamard_estimate, exp_perpetuity_moment,
-                      r_of_perpetuity, r_star)
+                      r_of_perpetuity)
 from .oracles import (OracleSpec, levy_q_lt_residual, oracle_gamma_sizebias,
                       oracle_geometric, oracle_levy_half,
                       oracle_pitman_yor_identity, oracle_uniform_digits,
@@ -159,10 +159,10 @@ def check_abscissa_boundary(seed: int = 0, n: int | None = None) -> list[dict]:
     """Abscissa routing across the three regimes plus the ratio trend."""
     out = []
     boundary = Independent(FiniteDiscrete((1.0, 0.5), (0.5, 0.5)), Exponential(2.0))
-    star = r_star(boundary, tol=1e-9)
+    res = r_of_perpetuity(boundary)
+    star, rz = res.r_star, res.r_z
     out.append(_result("abscissa", {"regime": "boundary"}, "r-star",
                        abs(star - 1.0), 1e-6, abs(star - 1.0) < 1e-6))
-    rz = r_of_perpetuity(boundary).r_z
     out.append(_result("abscissa", {"regime": "boundary"}, "r-z",
                        abs(rz - 1.0), 1e-6, abs(rz - 1.0) < 1e-6))
     contracting = Independent(UniformContinuous(0.0, 1.0), Exponential(3.0))

@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -231,6 +232,15 @@ def test_table_covers_every_row(rows, golden):
 
 def test_table_covers_every_family():
     assert {law.family for law in LAWS} == set(FAMILIES)
+
+
+def test_log_minus_mean_is_finite_without_an_atom_at_zero():
+    # the analytic tail-integral verdict needs E log^- |M| < inf whenever
+    # P{M = 0} = 0; a family without it would get a wrong verdict
+    marginals = [law for j in JOINTS.values() for law in (j.marginal_m(), j.marginal_q())]
+    for law in LAWS + marginals:
+        if law.point_prob(0.0) == 0.0:
+            assert law.log_abs_mean() > -math.inf, law
 
 
 if __name__ == "__main__":

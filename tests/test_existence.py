@@ -1,70 +1,15 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy import integrate, stats
 
 from perpetua.errors import PreconditionError
 from perpetua.existence import (VERDICT_CONVERGES, VERDICT_DEGENERATE,
                                 VERDICT_DIVERGES, VERDICT_EXACT_STOP,
                                 degeneracy_scan, existence_report,
-                                log_contraction_profile,
                                 product_vanishes_verdict,
                                 tail_integral_verdict)
 from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
-                           Gamma, Independent, LogPareto, PointMass,
-                           SignedRademacher, UniformContinuous)
-
-
-def test_a_of_x_point_mass():
-    assert log_contraction_profile(PointMass(0.5), 10.0) == pytest.approx(math.log(2))
-    assert log_contraction_profile(PointMass(0.5), 0.1) == pytest.approx(0.1)
-    assert log_contraction_profile(PointMass(0.5), 0.0) == 0.0
-
-
-def test_a_of_x_uniform():
-    # -log M ~ Exponential(1) when M ~ U(0,1), so A(x) = 1 - e^{-x}
-    u = Beta(1.0, 1.0)
-    for x in (0.25, 1.0, 4.0):
-        assert log_contraction_profile(u, x) == pytest.approx(
-            1.0 - math.exp(-x), rel=1e-8)
-    assert log_contraction_profile(u, 1.0) == pytest.approx(0.6321, abs=1e-4)
-
-
-def test_a_of_x_finite_discrete_exact():
-    law = FiniteDiscrete((3.0, 0.05), (0.25, 0.75))
-    # only the 0.05 atom contributes log^- mass
-    assert log_contraction_profile(law, 100.0) == pytest.approx(
-        0.75 * math.log(1 / 0.05))
-    assert log_contraction_profile(law, 1.0) == pytest.approx(0.75 * 1.0)
-
-
-def test_a_of_x_rejects_mass_at_zero():
-    with pytest.raises(PreconditionError):
-        log_contraction_profile(FiniteDiscrete((0.0, 0.5), (0.3, 0.7)), 1.0)
-
-
-@pytest.mark.parametrize("law", [
-    PointMass(0.7), Beta(1.0, 1.0), Beta(2.0, 1.0),
-    FiniteDiscrete((3.0, 0.05), (0.25, 0.75)), UniformContinuous(0.1, 0.9),
-], ids=["point", "u01", "beta21", "fd", "u.1.9"])
-def test_a_of_x_monotone_lipschitz_grid(law):
-    xs = np.linspace(0.0, 8.0, 33)
-    vals = [log_contraction_profile(law, float(x)) for x in xs]
-    for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        assert v1 >= v0 - 1e-12
-        assert v1 - v0 <= (x1 - x0) + 1e-10
-
-
-@pytest.mark.parametrize("law,limit", [
-    (PointMass(0.5), math.log(2)),
-    (Beta(1.0, 1.0), 1.0),
-    (Beta(2.0, 3.0), -(stats.beta(2, 3).expect(np.log))),
-], ids=["point", "u01", "beta23"])
-def test_a_of_x_limit_is_mean_log_minus(law, limit):
-    assert log_contraction_profile(law, 1e3) == pytest.approx(limit, abs=1e-6)
+                           Independent, LogPareto, PointMass, SignedRademacher,
+                           UniformContinuous)
 
 
 def test_pi_to_zero_examples():
@@ -89,17 +34,6 @@ def test_tail_integral_analytic_examples():
 def test_tail_integral_requires_vanishing_products():
     with pytest.raises(PreconditionError):
         tail_integral_verdict(Independent(PointMass(1.0), Exponential(1.0)))
-
-
-def test_tail_integral_monte_carlo_is_labeled():
-    verdict, method = tail_integral_verdict(
-        Independent(Beta(1.0, 1.0), Exponential(1.0)), method="monte-carlo")
-    assert method == "monte-carlo-heuristic"
-    assert verdict in ("finite", "infinite", "unknown")
-    v2, m2 = tail_integral_verdict(
-        Independent(Beta(1.0, 1.0), LogPareto(0.5)), method="monte-carlo")
-    assert m2 == "monte-carlo-heuristic"
-    assert v2 in ("infinite", "unknown")
 
 
 def test_degeneracy_scan_examples():
@@ -185,23 +119,3 @@ def test_exact_stop_needs_no_condition_on_q():
 def test_cached_report_instance_reuse():
     j = Independent(Beta(1.0, 1.0), Exponential(1.0))
     assert existence_report(j) is existence_report(j)
-
-
-@given(st.floats(min_value=0.05, max_value=0.95),
-       st.floats(min_value=0.0, max_value=20.0))
-@settings(max_examples=40, deadline=None)
-def test_a_of_x_point_mass_closed_form_property(c, x):
-    assert log_contraction_profile(PointMass(c), x) == pytest.approx(
-        min(x, -math.log(c)), rel=1e-12)
-
-
-@given(st.floats(min_value=0.2, max_value=3.0),
-       st.floats(min_value=0.2, max_value=3.0))
-@settings(max_examples=15, deadline=None)
-def test_a_of_x_beta_quadrature_oracle(a, b):
-    # reference: A(x) = E min(-log M, x) computed from the beta density
-    x = 1.5
-    dist = stats.beta(a, b)
-    want, _ = integrate.quad(
-        lambda t: min(-math.log(t), x) * dist.pdf(t), 0.0, 1.0, limit=200)
-    assert log_contraction_profile(Beta(a, b), x) == pytest.approx(want, rel=1e-6)

@@ -504,3 +504,39 @@ def test_beta_moments_match_mpmath(a, b):
             got = law.abs_moment(p)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             assert (got < 1.0) == (want < 1.0)  # the moment criterion compares with 1
+
+
+# below the large-a expansion, digamma(a) - digamma(a + b) cancelled once
+# b << a: Beta(19, 1e-300) gave E log M = 0 and Beta(19, 1e-10) was off by 6e-6
+@pytest.mark.parametrize("a, b", [(a, a * f) for a in (1e-300, 1e-5, 0.5, 1.0, 19.0, 9999.0)
+                                  for f in (1e-12, 1e-4, 0.0099, 0.0101)]
+                         + [(19.0, 1e-300), (19.0, 1e-10), (0.5, 1e-12), (2.0, 5e-324)])
+def test_beta_log_mean_with_beta_far_below_alpha_matches_mpmath(a, b):
+    # 40 digits beyond those that digamma(a) and digamma(a + b) share
+    with mpmath.workdps(45 + int(math.log10(a) - math.log10(b))):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        want = float(mpmath.digamma(ma) - mpmath.digamma(ma + mb))
+    assert Beta(a, b).log_abs_mean() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _weibull_log_plus_by_mpmath(law):
+    """E log+ X = E1(scale^-shape) / shape at 40 digits (0 once E1 is below e^-10^4)."""
+    with mpmath.workdps(40):
+        k = mpmath.mpf(law.shape)
+        u0 = mpmath.mpf(law.scale) ** -k
+        return 0.0 if u0 > 1e4 else float(mpmath.e1(u0) / k)
+
+
+# the quadrature it replaces was off by up to 5.5e-7 relative, with no
+# warning; Weibull(0.5, 1) and Weibull(1, 0.2) are the rows of
+# tests/analysis_golden.json that moved
+@pytest.mark.parametrize("law", [Weibull(k, lam) for k in (1e-300, 1e-8, 1e-3, 0.5, 1.0, 5.0,
+                                                           50.0, 1e3, 1e300)
+                                 for lam in (1e-300, 1e-8, 1e-3, 0.5, 0.9, 1.0, 2.0, 1e3,
+                                             1e300)]
+                         + [Weibull(1.0, 0.2)],
+                         ids=lambda law: f"{law.shape:g}-{law.scale:g}")
+def test_weibull_log_plus_matches_mpmath(law):
+    # values below 1e-300 are compared on an absolute floor of 1e-300
+    assert law.log_plus_abs_moment() == pytest.approx(
+        _weibull_log_plus_by_mpmath(law), rel=1e-12, abs=1e-300)

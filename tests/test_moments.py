@@ -13,7 +13,7 @@ from perpetua.moments import (REGIME_BOUNDARY, REGIME_CONTRACTING,
                               REGIME_EXPANDING, cauchy_hadamard_estimate,
                               classify_regime, exp_feasible_at,
                               exp_perpetuity_moment, p_moment_criterion,
-                              r_of_perpetuity, r_star, zstar_bound)
+                              r_of_perpetuity, zstar_bound)
 
 BOUNDARY = Independent(FiniteDiscrete((1.0, 0.5), (0.5, 0.5)), Exponential(2.0))
 # probabilities that sum to 0.9999999999999999, one ulp below 1
@@ -79,8 +79,9 @@ def test_r_star_search_ends_when_the_bracket_is_one_float_wide():
     # a_+(s) = 0.3 e^{s 1e-12} < 1 up to s = log(1/0.3) 1e12, where adjacent
     # floats are farther apart than the bisection tolerance
     joint = FiniteJoint(((1.0, 1e-12, 0.3), (0.5, 1.0, 0.7)))
-    assert r_star(joint) == pytest.approx(math.log(1 / 0.3) * 1e12, rel=1e-12)
-    assert r_of_perpetuity(joint).r_z == pytest.approx(math.log(1 / 0.3) * 1e12, rel=1e-12)
+    res = r_of_perpetuity(joint)
+    assert res.r_star == pytest.approx(math.log(1 / 0.3) * 1e12, rel=1e-12)
+    assert res.r_z == pytest.approx(math.log(1 / 0.3) * 1e12, rel=1e-12)
 
 
 def test_moments_beyond_float_range_are_refused_not_raised():
@@ -166,29 +167,29 @@ def test_exp_feasibility_json():
 
 def test_r_star_boundary_closed_form():
     # with P{M=1} = theta and Q ~ Exp(a), a_+(s) < 1 iff s < a(1 - theta)
-    assert r_star(BOUNDARY) == pytest.approx(1.0, abs=1e-6)
+    assert r_of_perpetuity(BOUNDARY).r_star == pytest.approx(1.0, abs=1e-6)
     other = Independent(FiniteDiscrete((1.0, 0.25), (0.8, 0.2)), Exponential(5.0))
-    assert r_star(other) == pytest.approx(5.0 * 0.2, abs=1e-6)
+    assert r_of_perpetuity(other).r_star == pytest.approx(5.0 * 0.2, abs=1e-6)
 
 
 def test_r_star_requires_boundary_regime():
-    with pytest.raises(PreconditionError):
-        r_star(Independent(Beta(1.0, 1.0), Exponential(1.0)))
-    with pytest.raises(PreconditionError):
-        r_star(BOUNDARY, tol=0.0)
+    # r* is bisected only in the boundary regime; the others read it off
+    res = r_of_perpetuity(Independent(Beta(1.0, 1.0), Exponential(1.0)))
+    assert res.regime == REGIME_CONTRACTING
+    assert math.isinf(res.r_star) and res.bisection_trace is None
 
 
 def test_r_star_negative_q_on_unit_atom():
     # Q = -1 on {M = 1}: a_-(s) = e^s / 2 crosses 1 at log 2
     fj = FiniteJoint(((1.0, -1.0, 0.5), (0.5, 1.0, 0.5)))
-    assert r_star(fj) == pytest.approx(math.log(2.0), abs=1e-6)
+    assert r_of_perpetuity(fj).r_star == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_r_star_infinite_when_q_vanishes_on_unit_atom():
     # Q = 0 on {M = 1}: a_pm = 1/2 for every s, so the predicate never fails
     fj = FiniteJoint(((1.0, 0.0, 0.5), (0.5, 1.0, 0.25), (0.5, 2.0, 0.25)))
-    assert math.isinf(r_star(fj))
     res = r_of_perpetuity(fj)
+    assert math.isinf(res.r_star)
     assert math.isinf(res.r_q)
     assert math.isinf(res.r_z)
     assert res.boundary_detail is None

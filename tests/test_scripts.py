@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,21 @@ def test_abscissa_demo_runs_from_any_directory(tmp_path):
     done = _run_elsewhere(tmp_path, str(SCRIPTS / "abscissa_demo.py"), "--steps", "1", "--json")
     assert done.returncode == 0, done.stderr
     assert len(json.loads(done.stdout)["sweep"]) == 1
+
+
+# SHA-256 of stdout; both print bisected r* values to the last digit, so any
+# change to the r* search shows here
+ABSCISSA_VERIFY_SHA256 = "a9330d2f9e4f7569560c3c46adde66d2d33bcd232f61dd785761fb7f63f95b06"
+ABSCISSA_DEMO_SHA256 = "6ce5ee7ed3d08bf918d01303850c0ee175082145e71797bdc3add0a276441973"
+
+
+def test_abscissa_outputs_keep_their_bytes(tmp_path, capsys):
+    assert main(["verify", "abscissa-boundary"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ABSCISSA_VERIFY_SHA256
+    done = _run_elsewhere(tmp_path, str(SCRIPTS / "abscissa_demo.py"), "--json", "--steps", "3")
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == ABSCISSA_DEMO_SHA256
 
 
 @pytest.mark.parametrize("script", ["cf_scan.py", "run_verifications.py"])
