@@ -13,11 +13,17 @@ Where each functional comes from:
   sums every functional over the family's atom table; signed_rademacher
   keeps cosh for E e^{sX}.
 - uniform, exponential, gamma, beta, weibull, inverse_gamma, log_pareto:
-  closed forms, except adaptive quadrature (relative tolerance 1e-10) for
-  E e^{sX} of weibull, inverse_gamma and log_pareto and for E log^+ X of
-  gamma and inverse_gamma.  E M^p and E log M of beta(a, b) switch to
-  large-a expansions, and E log M to a series in b for b << a, where the
-  closed forms cancel.
+  closed forms, except five functionals that are means of one
+  G ~ Gamma(a, 1): E log^+ X of gamma (G / rate) and inverse_gamma
+  (scale / G), and E e^{sX} of inverse_gamma, of weibull (scale G^{1/shape},
+  a = 1) and of log_pareto (exp(exp(G / index)), a = 1).  One quadrature
+  helper, ``_log_gamma_mean``, integrates each over T = log(G / a); it cuts
+  the line at the mode of T and at the point where the caller says the
+  integrand switches, and grades every piece toward its features.  E e^{sX}
+  keeps its closed forms at s = 0, for weibull shape 1 and where s > 0 has
+  no finite moment.  E M^p and E log M of beta(a, b) switch to large-a
+  expansions, and E log M to a series in b for b << a, where the closed
+  forms cancel.
 - poisson: closed forms for the cdf, the pmf and E e^{sX}; E|X|^p and
   E log^+ X sum a window around the mean, integer by integer or, for a
   large mean, by the trapezoid rule.
@@ -44,7 +50,9 @@ from .errors import LawValidationError, PreconditionError
 from .streams import LANE_M, LANE_Q, LANE_MAIN, RandomStream
 
 _QUAD_EPSREL = 1e-10
-_QUAD_LIMIT = 200
+# a piece of the line next to a feature of an integrand spans this many of
+# the feature's widths before the piece from the next cut takes over
+_FEATURE_WIDTHS = 40.0
 
 # the largest parameters numpy's samplers accept: Generator.poisson refuses
 # lam above 2^63 - 1 - 10 sqrt(2^63 - 1), Generator.integers a high above 2^63
@@ -83,9 +91,7 @@ def _finite(x) -> bool:
 
 
 def _quad(f, lo, hi) -> float:
-    val, _ = integrate.quad(
-        f, lo, hi, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT,
-    )
+    val, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL)
     return val
 
 
@@ -102,41 +108,114 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-def _log_gamma_parts(a: float, l0: float) -> tuple[float, float]:
-    """E (L - l0)^+ and E (L - l0)^- for L = log G, G ~ Gamma(a, 1).
+def _log_ratio(x: float, y: float) -> float:
+    """log(x / y) for x, y > 0, rounded once where x / y is a normal float."""
+    q = x / y
+    return math.log(q) if _FLOAT_TINY <= q < math.inf else math.log(x) - math.log(y)
 
-    Gamma(a, r) is G / r and InverseGamma(a, b) is b / G, so their E log^+
-    are the first part at l0 = log r and the second at l0 = log b.  Only the
-    side of l0 that holds at most half of the mass of L is integrated, over
-    the density e^{a l - e^l} / Gamma(a) of L; the other side follows from
-    E L = digamma(a), so mass far from x = 1 is never left to quadrature.
+
+# below |t| = 1/4 the terms of e^t - 1 - t through t^14 reach 1e-18 relative
+_EXPM1_MINUS_TAYLOR = tuple(1.0 / math.factorial(n) for n in range(14, 1, -1))
+
+
+def _expm1_minus(t: float) -> float:
+    """e^t - 1 - t without the cancellation near t = 0; inf past the float range."""
+    if abs(t) < 0.25:
+        acc = 0.0
+        for c in _EXPM1_MINUS_TAYLOR:
+            acc = acc * t + c
+        return acc * t * t
+    return _exp(t) - 1.0 - t
+
+
+def _log_gamma_mean(a, log_h, switch, width, lo=-math.inf, hi=math.inf) -> float:
+    """E h(T) 1{lo < T < hi} for T = log(G / a), G ~ Gamma(a, 1), h = e^{log_h}.
+
+    T has density sqrt(a / 2 pi) e^{-delta(a) - a (e^t - 1 - t)} about its
+    mode 0, with no cancellation at large a.  The integrand varies on the
+    density's side widths at 0 and on ``width`` at ``switch``, where the
+    caller says h changes regime (a non-finite switch adds no cut).  The
+    line is cut there and at lo and hi.  A finite piece is split so that the
+    half at its finer feature spans _FEATURE_WIDTHS of its widths, and a
+    tail is split there when the density is wider still.  Each part is one
+    quadrature in v, t = end +- w (e^v - 1), graded toward the end's
+    feature of width w, so that no feature falls between the nodes.
     """
-    c = float(special.gammaln(a))
+    log_a = math.log(a)
+    c0 = 0.5 * log_a - _HALF_LOG_2PI - float(_stirling_remainder(np.float64(a), log_a))
+    r = min(math.sqrt(2.0 / a) + 1.0 / a, 1e300)  # a (e^t - 1 - t) = 1 about here
+    w_left, w_right = r, math.log1p(r)
 
-    def density(l):
-        return math.exp(a * l - _exp(l) - c)
+    # below a = e^-700 the factor e^c0 is taken out of the integrand, which
+    # would otherwise fall among the subnormal floats
+    c_in = max(c0, -700.0)
 
-    drift = float(special.digamma(a)) - l0
-    if special.gammaincc(a, _exp(l0)) <= 0.5:
-        upper = _quad(lambda l: (l - l0) * density(l), l0, math.inf)
-        return upper, upper - drift
-    lower = _quad(lambda l: (l0 - l) * density(l), -math.inf, l0)
-    return lower + drift, lower
+    def log_g(t):  # NaN, inf - inf, is a growing h beaten by the density's right tail
+        return c_in + log_h(t) - a * _expm1_minus(t)
 
+    def scale(t):  # the density's width at t, no finer than the float spacing
+        d = a * abs(_exp(t) - 1.0)
+        w = w_left if t < 0 else w_right
+        return max(min(w, 1.0 / d) if d * w > 1.0 else w, 16.0 * math.ulp(t))
 
-def _exp_moment_by_quad(law, s, of_abs=False) -> float:
-    """E e^{sX} of a law on (lo, inf), lo >= 0, with a pdf and no positive
-    exponential moment; X > 0, so ``of_abs`` changes nothing."""
-    if s == 0:
-        return 1.0
-    if s > 0:
-        return math.inf
-    return _quad(lambda x: math.exp(s * x) * law.pdf(x), law.support()[0], math.inf)
+    features = [(0.0, w_right)]
+    if -math.inf < switch < math.inf:
+        features.append((switch, max(min(width, scale(switch)), 16.0 * math.ulp(switch))))
+
+    def cut_width(p):  # a feature seen from p is no finer than its distance
+        return min([scale(p)] + [max(w, abs(p - f)) for f, w in features])
+
+    def graded(end, sign, w, span):
+        if span == math.inf:
+            # log g is unimodal along a tail: it ends at the first doubling
+            # step where log g is 100 below the largest value met, or -inf
+            top, span = -math.inf, w
+            while span < 1e308:
+                v = log_g(end + sign * span)
+                if not v > top - 100.0:
+                    break
+                top, span = max(top, v), 2.0 * span
+
+        def f(v):
+            d = w * (_exp(v) - 1.0)
+            x = log_g(end + sign * d)
+            return _exp(x) * (w + d) if x > -746.0 else 0.0  # NaN is 0 too
+
+        return _quad(f, 0.0, math.log1p(span / w))
+
+    cuts = sorted({f for f, _ in features if lo < f < hi} | {lo, hi})
+    total = 0.0
+    for p, q in zip(cuts, cuts[1:]):
+        if math.isinf(p) or math.isinf(q):
+            end, sign = (q, -1.0) if math.isinf(p) else (p, 1.0)
+            w = cut_width(end)
+            m = end + sign * _FEATURE_WIDTHS * w
+            if scale(m) > _FEATURE_WIDTHS * w:
+                total += graded(end, sign, w, _FEATURE_WIDTHS * w)
+                end, w = m, scale(m)
+            total += graded(end, sign, w, math.inf)
+        else:
+            wp, wq = cut_width(p), cut_width(q)
+            d = min(_FEATURE_WIDTHS * min(wp, wq), 0.5 * (q - p))
+            m = p + d if wp <= wq else q - d
+            total += graded(p, 1.0, wp, m - p) + graded(q, -1.0, wq, q - m)
+    return math.exp(c0 - c_in) * total
 
 
 @cache
 def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
+
+
+def _stirling_remainder(k, log_k):
+    """log Gamma(k) - ((k - 1/2) log k - k + log(2 pi)/2), which is also
+    log k! - ((k + 1/2) log k - k + log(2 pi)/2); a series for k >= 30."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the unused branch
+        k2 = k * k
+        return np.where(
+            k >= 30.0,
+            (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k,
+            special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI)
 
 
 def _poisson_log_pmf(k: np.ndarray, d: np.ndarray, lam: float) -> np.ndarray:
@@ -146,7 +225,7 @@ def _poisson_log_pmf(k: np.ndarray, d: np.ndarray, lam: float) -> np.ndarray:
     bd0 = k log(k/lam) - (k - lam), avoids the cancellation of
     k log lam - lam - log k! (three terms near 4e19 at lam = 1e18).  bd0 is
     summed as its series in v = d/(k + lam) where |v| < 0.1, and delta(k) =
-    log k! - log(Stirling's formula) as its asymptotic series for k >= 30.
+    log k! - log(Stirling's formula) is ``_stirling_remainder``.
     """
     log_k = np.log(k)
     bd0 = k * (log_k - math.log(lam)) - d
@@ -163,12 +242,7 @@ def _poisson_log_pmf(k: np.ndarray, d: np.ndarray, lam: float) -> np.ndarray:
             term *= v2
             series += term / (2 * j + 1)
         bd0[near] = series
-    k2 = k * k
-    stirling = np.where(
-        k >= 30.0,
-        (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k,
-        special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI)
-    return -bd0 - 0.5 * log_k - _HALF_LOG_2PI - stirling
+    return -bd0 - 0.5 * log_k - _HALF_LOG_2PI - _stirling_remainder(k, log_k)
 
 
 class ScalarLaw:
@@ -611,7 +685,10 @@ class Gamma(ScalarLaw):
         return float(special.digamma(self.shape)) - math.log(self.rate)
 
     def log_plus_abs_moment(self):
-        return _log_gamma_parts(self.shape, math.log(self.rate))[0]
+        # log X = T - c for T = log(G / shape): E (T - c) over T > c
+        c = _log_ratio(self.rate, self.shape)
+        return _log_gamma_mean(self.shape, lambda t: math.log(t - c) if t > c else -math.inf,
+                               c, math.inf, lo=c)
 
 
 @dataclass(frozen=True)
@@ -722,7 +799,6 @@ class Weibull(ScalarLaw):
         return self.scale ** p * math.exp(special.gammaln(1 + p / self.shape))
 
     def exp_moment(self, s, of_abs=False):
-        # substitute u = (x/scale)^shape; the weight becomes e^{-u}
         k, lam = self.shape, self.scale
         if s == 0:
             return 1.0
@@ -730,11 +806,15 @@ class Weibull(ScalarLaw):
             return Exponential(1.0 / lam).exp_moment(s)
         if k < 1 and s > 0:
             return math.inf
-
-        def f(u):
-            return _exp(s * lam * _pow(u, 1.0 / k) - u)
-
-        return _quad(f, 0.0, math.inf)
+        # X = lam e^{T / k} for T = log G, G ~ Exp(1) = Gamma(1, 1): s X = +-e^{ell + T/k}
+        ell = math.log(abs(s)) + math.log(lam)
+        if s < 0:
+            # h switches at T = -k ell, over a width of k
+            return _log_gamma_mean(1.0, lambda t: -_exp(ell + t / k), -k * ell, k)
+        # h outgrows the density up to the peak of e^{ell + T/k} - e^T, near
+        # T = k (ell - log k) / (k - 1) where e^T >> 1, of width about e^{-T/2}
+        peak = k * (ell - math.log(k)) / (k - 1.0) if ell > math.log(k) else -math.inf
+        return _log_gamma_mean(1.0, lambda t: _exp(ell + t / k), peak, _exp(-0.5 * peak))
 
     def exp_abscissa(self):
         if self.shape > 1:
@@ -856,13 +936,6 @@ class InverseGamma(ScalarLaw):
             return 0.0
         return float(special.gammaincc(self.shape, self.scale / x))
 
-    def pdf(self, x):
-        if x <= 0:
-            return 0.0
-        a, b = self.shape, self.scale
-        return math.exp(a * math.log(b) - (a + 1) * math.log(x) - b / x
-                        - special.gammaln(a))
-
     def support(self):
         return (0.0, math.inf)
 
@@ -873,7 +946,16 @@ class InverseGamma(ScalarLaw):
             return math.inf
         return math.exp(p * math.log(b) + special.gammaln(a - p) - special.gammaln(a))
 
-    exp_moment = _exp_moment_by_quad
+    def exp_moment(self, s, of_abs=False):
+        # X > 0, so of_abs changes nothing; no positive exponential moment
+        if s == 0:
+            return 1.0
+        if s > 0:
+            return math.inf
+        # s X = -e^{ell - T} for T = log(G / shape): h switches at T = ell,
+        # over a width of 1
+        ell = math.log(-s) + _log_ratio(self.scale, self.shape)
+        return _log_gamma_mean(self.shape, lambda t: -_exp(ell - t), ell, 1.0)
 
     def exp_abscissa(self):
         return 0.0
@@ -882,7 +964,10 @@ class InverseGamma(ScalarLaw):
         return math.log(self.scale) - float(special.digamma(self.shape))
 
     def log_plus_abs_moment(self):
-        return _log_gamma_parts(self.shape, math.log(self.scale))[1]
+        # log X = c - T for T = log(G / shape): E (c - T) over T < c
+        c = _log_ratio(self.scale, self.shape)
+        return _log_gamma_mean(self.shape, lambda t: math.log(c - t) if t < c else -math.inf,
+                               c, math.inf, hi=c)
 
 
 @dataclass(frozen=True)
@@ -934,12 +1019,6 @@ class LogPareto(ScalarLaw):
             return 0.0
         return 1.0 - math.log(x) ** (-self.index)
 
-    def pdf(self, x):
-        if x <= math.e:
-            return 0.0
-        a = self.index
-        return a * math.log(x) ** (-a - 1) / x
-
     def support(self):
         return (math.e, math.inf)
 
@@ -948,7 +1027,22 @@ class LogPareto(ScalarLaw):
         # E e^{pW} with W power-tailed is infinite for every p > 0
         return math.inf
 
-    exp_moment = _exp_moment_by_quad
+    def exp_moment(self, s, of_abs=False):
+        # X > e, so of_abs changes nothing; no positive exponential moment
+        if s == 0:
+            return 1.0
+        if s > 0:
+            return math.inf
+        # X = exp(exp(G / index)), G ~ Exp(1), T = log G: h = e^{sX} switches
+        # where -s (X - e) = 1, i.e. x = -1/(e s) = X/e - 1, T = log(index log log X),
+        # and log h moves by 1 over a width of 1 / ((1 + 1/x) log X log log X)
+        x = max(-1.0 / (math.e * s), _FLOAT_TINY)
+        log_x = 1.0 + math.log1p(x)
+        log_log_x = math.log1p(math.log1p(x))
+        index = self.index
+        return _log_gamma_mean(1.0, lambda t: s * _exp(_exp(_exp(t) / index)),
+                               math.log(index) + math.log(log_log_x),
+                               x / ((1.0 + x) * log_x * log_log_x))
 
     def exp_abscissa(self):
         return 0.0

@@ -51,7 +51,6 @@ class OracleSpec:
     joint: JointLaw | None = None
     cdf: Callable | None = None
     pmf: Callable | None = None
-    lt: Callable | None = None
 
 
 def oracle_geometric(p: float) -> OracleSpec:
@@ -130,11 +129,8 @@ def oracle_levy_half(b: float) -> OracleSpec:
         with np.errstate(divide="ignore"):
             return np.where(x > 0, special.erfc(b / (2.0 * np.sqrt(np.maximum(x, 1e-300)))), 0.0)
 
-    def lt(s):
-        return np.exp(-b * np.sqrt(np.asarray(s, dtype=float)))
-
     joint = Independent(Weibull(0.5, 1.0), InverseGamma(1.5, b * b / 4.0))
-    return OracleSpec("levy-half", {"b": b}, joint=joint, cdf=cdf, lt=lt)
+    return OracleSpec("levy-half", {"b": b}, joint=joint, cdf=cdf)
 
 
 def levy_q_lt_residual(b: float, s_grid=(0.5, 1.0, 2.0)) -> float:

@@ -187,6 +187,31 @@ def test_analyze_signed_overflow_warns_nothing(tmp_path, capsys):
     assert all(line.startswith("error:") for line in err.splitlines())
 
 
+# the r* bisection of the boundary regime reads E e^{sQ} at many s, and the
+# existence verdict E log+ Q, at parameters at the ends of the float range
+_FLOAT_LIMIT_Q = [(family, dict(zip(names, values)))
+                  for family, names in (("inverse_gamma", ("shape", "scale")),
+                                        ("weibull", ("shape", "scale")),
+                                        ("gamma", ("shape", "rate")))
+                  for values in ((1e-300, 1e300), (1e300, 1e-300), (1e-300, 1e-300),
+                                 (1e300, 1e300))]
+_FLOAT_LIMIT_Q += [("log_pareto", {"index": 1e-300}), ("log_pareto", {"index": 1e300})]
+
+
+@pytest.mark.parametrize("family,params", _FLOAT_LIMIT_Q,
+                         ids=[f"{f}-{'-'.join(f'{v:g}' for v in p.values())}"
+                              for f, p in _FLOAT_LIMIT_Q])
+def test_analyze_boundary_at_float_limits_is_strict_json(tmp_path, capsys, family, params):
+    cfg = _write(tmp_path, {
+        "coupling": "independent",
+        "M": {"family": "finite_discrete", "params": {"values": [1.0, 0.5], "probs": [0.5, 0.5]}},
+        "Q": {"family": family, "params": params}})
+    assert main(["analyze", cfg, "--json"]) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out, parse_constant=_reject_constant)
+    assert captured.err == ""
+
+
 def test_analyze_non_finite_draws_strict_json_exit(tmp_path, capsys):
     cfg = _write(tmp_path, OVERFLOWING)
     assert main(["analyze", cfg, "--n", "20000", "--json"]) == 4

@@ -540,3 +540,168 @@ def test_weibull_log_plus_matches_mpmath(law):
     # values below 1e-300 are compared on an absolute floor of 1e-300
     assert law.log_plus_abs_moment() == pytest.approx(
         _weibull_log_plus_by_mpmath(law), rel=1e-12, abs=1e-300)
+
+
+# --- the five Gamma means against mpmath ---------------------------------------
+# E log+ X of Gamma(a, r) = G / r and InverseGamma(a, b) = b / G, and E e^{sX}
+# of InverseGamma, Weibull(k, lam) = lam G^{1/k} and LogPareto(i) =
+# exp(exp(G / i)), G ~ Gamma(a, 1) (a = 1 for the last two), share one
+# quadrature over T = log(G / a).
+
+
+def _gamma_mean_by_mpmath(a, psi_h, d1_h, d2_h, lo=-math.inf, hi=math.inf, marks=()):
+    """E e^{psi_h(T)} 1{lo < T < hi} for T = log(G / a) at 17 + log10(a) digits.
+
+    psi_h + log density is unimodal in every case below: its peak is bisected
+    from the derivative d1_h + d log density, and the line is cut there and at
+    8^j Laplace widths on each side, and at 8^j widths about each (point,
+    width) of ``marks``, until the integrand falls below e^-50 of its peak.
+    """
+    with mpmath.workdps(17 + max(0, int(math.log10(a)))):
+        a, lo, hi = mpmath.mpf(a), mpmath.mpf(lo), mpmath.mpf(hi)
+        c0 = a * mpmath.log(a) - a - mpmath.loggamma(a)
+
+        def psi(t):
+            if t > 3000 or not lo < t < hi:
+                return -mpmath.inf
+            return psi_h(t) - a * (mpmath.expm1(t) - t) + c0
+
+        def d1(t):
+            return d1_h(t) - a * mpmath.expm1(t)
+
+        x0 = lo if lo > -mpmath.inf else min(hi, 0) - 1
+        x1 = hi if hi < mpmath.inf else max(lo, 0) + 1
+        for i in range(200):
+            if lo == -mpmath.inf and d1(x0) <= 0:
+                x0 -= 2 ** i
+            elif hi == mpmath.inf and d1(x1) >= 0:
+                x1 += 2 ** i
+            else:
+                break
+        for _ in range(200):
+            mid = (x0 + x1) / 2
+            if mid in (x0, x1):
+                break
+            x0, x1 = (mid, x1) if d1(mid) > 0 else (x0, mid)
+        peak = (x0 + x1) / 2
+        top = psi(peak)
+        curv = a * mpmath.exp(peak) - d2_h(peak)
+        cuts = {peak}
+        for point, width in [(peak, 1 / mpmath.sqrt(curv) if curv > 0 else 1)] + list(marks):
+            for sign in (-1, 1):
+                for j in range(-1, 40):
+                    x = point + sign * width * mpmath.mpf(8) ** j
+                    if not lo < x < hi:
+                        cuts.add(lo if sign < 0 else hi)
+                        break
+                    cuts.add(x)
+                    if psi(x) < top - 50:
+                        break
+
+        def f(t):
+            v = psi(t) - top
+            return mpmath.exp(v) if v > -10 ** 4 else mpmath.mpf(0)
+
+        return float(mpmath.exp(top) * mpmath.quad(f, sorted(cuts), maxdegree=5))
+
+
+def _gamma_mean_reference(law, s):
+    """log_plus_abs_moment() when s is None, else exp_moment(s), by mpmath."""
+    mp = mpmath.mpf
+    if s is not None and (s == 0 or (s > 0 and law.exp_abscissa() == 0.0)):
+        return 1.0 if s == 0 else math.inf
+    if isinstance(law, Gamma):
+        c = mpmath.log(mp(law.rate)) - mpmath.log(mp(law.shape))
+        return _gamma_mean_by_mpmath(law.shape, lambda t: mpmath.log(t - c), lambda t: 1 / (t - c),
+                                     lambda t: -1 / (t - c) ** 2, lo=c)
+    if isinstance(law, InverseGamma) and s is None:
+        c = mpmath.log(mp(law.scale)) - mpmath.log(mp(law.shape))
+        return _gamma_mean_by_mpmath(law.shape, lambda t: mpmath.log(c - t), lambda t: 1 / (t - c),
+                                     lambda t: -1 / (t - c) ** 2, hi=c)
+    if isinstance(law, InverseGamma):
+        a, z = mp(law.shape), -mp(s) * law.scale
+        if a <= 1e4:  # 2 z^{a/2} K_a(2 sqrt z) / Gamma(a); mpmath's K_a is slow at larger orders
+            with mpmath.workdps(30):
+                try:
+                    return float(2 * z ** (a / 2) * mpmath.besselk(a, 2 * mpmath.sqrt(z))
+                                 / mpmath.gamma(a))
+                except mpmath.libmp.NoConvergence:
+                    pass
+        ell = mpmath.log(z / a)
+        return _gamma_mean_by_mpmath(a, lambda t: -mpmath.exp(ell - t), lambda t: mpmath.exp(ell - t),
+                                     lambda t: -mpmath.exp(ell - t))
+    if isinstance(law, Weibull):
+        k, z = mp(law.shape), mp(s) * law.scale
+        with mpmath.workdps(40):
+            if k == 1:
+                return float(1 / (1 - z)) if z < 1 else math.inf
+            if k == 2:  # 1 + sqrt(pi) z/2 e^{z^2/4} erfc(-z/2)
+                return float(1 + mpmath.sqrt(mpmath.pi) * z / 2 * mpmath.exp(z * z / 4)
+                             * mpmath.erfc(-z / 2))
+            if k <= 1e-6:  # a step at sigma = -k log(-z) smoothed over k: E h =
+                # F(sigma) - euler k f(sigma) - (pi^2/12 + euler^2/2) k^2 f'(sigma) + O(k^3)
+                sigma = -k * mpmath.log(-z)
+                f = mpmath.exp(sigma - mpmath.exp(sigma))
+                return float(-mpmath.expm1(-mpmath.exp(sigma)) - mpmath.euler * k * f
+                             - (mpmath.pi ** 2 / 12 + mpmath.euler ** 2 / 2) * k * k * f
+                             * -mpmath.expm1(sigma))
+        ell, sign = mpmath.log(abs(z)), mpmath.sign(z)
+
+        def e(t):
+            return sign * mpmath.exp(ell + t / k)
+
+        return _gamma_mean_by_mpmath(1, e, lambda t: e(t) / k, lambda t: e(t) / k ** 2,
+                                     marks=[(-k * ell, k)])
+    # X = e^{1 + x}, P{x > y} = (1 + y)^-index for y >= 0: E e^{sX} =
+    # e^{se} int_0^inf e^{s e expm1(x)} index (1 + x)^(-index-1) dx, cut on
+    # the scales of both factors near x = 0 and about x = log(-1/s) - 1
+    with mpmath.workdps(17):
+        index, s = mp(law.index), mp(s)
+        c = min(1 / (-s * mpmath.e), 1 / index)
+        x0 = mpmath.log(-1 / s) - 1
+        cuts = {mp(0), mpmath.inf} | {c * mp(8) ** j for j in range(-2, 30) if c * 8 ** j < 1000}
+        cuts |= {x0 + d for d in (-5, -2, -1, 0, 1, 2, 5) if x0 + d > 0}
+        integral = mpmath.quad(lambda x: mpmath.exp(s * mpmath.e * mpmath.expm1(x) + mpmath.log(index)
+                                                    - (index + 1) * mpmath.log1p(x))
+                               if x < 800 else mpmath.mpf(0), sorted(cuts))
+        return float(mpmath.exp(s * mpmath.e) * integral)
+
+
+_SWEEP_S = (-100.0, -2.0, -0.5, -1e-8, 0.5, 2.0)
+_SPREAD = (1e-8, 1.0, 1e8)
+# every law of tests/analysis_golden.json and its analyze configs whose
+# functionals are Gamma means, at the s of its exp_moment rows, the parameter
+# corners of the Q laws of perfbench/configs.py, the cases that were wrong
+# without a warning, and the shapes, scales and indices of _SPREAD
+_GAMMA_MEAN_POINTS = list(dict.fromkeys(
+    [(Gamma(a, r), None) for a, r in ((0.5, 0.5), (4.0, 3.0), (2.0, 5.0), (1.0, 1.0), (2.0, 1.5),
+                                      (0.5, 3.0), (4.0, 0.5))]
+    + [(InverseGamma(a, b), None) for a, b in ((1.5, 0.5), (4.0, 2.0), (1.0, 0.1), (3.0, 0.5),
+                                               (1.5, 2.0), (4.0, 0.5), (2.3, 1e-8))]
+    + [(law, s) for law in (InverseGamma(1.5, 0.5), InverseGamma(4.0, 2.0), InverseGamma(1.0, 0.1),
+                            InverseGamma(3.0, 0.5), InverseGamma(1.5, 2.0), InverseGamma(4.0, 0.5),
+                            Weibull(0.5, 0.5), Weibull(3.0, 2.0), Weibull(1.0, 0.2),
+                            Weibull(0.5, 1.0), Weibull(3.0, 0.5), Weibull(0.5, 2.0),
+                            LogPareto(0.3), LogPareto(1.0), LogPareto(1.5), LogPareto(4.0),
+                            LogPareto(0.5))
+       for s in (-2.0, -0.5, 0.0, 0.1, 0.5, 2.0)]
+    + [(InverseGamma(1.0, 1e-10), -0.5), (InverseGamma(1000.0, 1.0), -0.5),
+       (InverseGamma(10.0, 1e-10), -1.0)]
+    + [(cls(a, b), None) for cls in (Gamma, InverseGamma) for a in _SPREAD for b in _SPREAD]
+    + [(cls(a, b), s) for cls in (InverseGamma, Weibull) for a in _SPREAD for b in _SPREAD
+       for s in _SWEEP_S]
+    + [(LogPareto(i), s) for i in _SPREAD for s in _SWEEP_S]))
+
+
+def test_gamma_means_match_mpmath():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = [law.log_plus_abs_moment() if s is None else law.exp_moment(s)
+               for law, s in _GAMMA_MEAN_POINTS]
+    assert caught == []
+    misses = []
+    for (law, s), value in zip(_GAMMA_MEAN_POINTS, got):
+        want = _gamma_mean_reference(law, s)
+        if value != pytest.approx(want, rel=1e-12, abs=1e-300):
+            misses.append((law, s, value, want))
+    assert misses == []

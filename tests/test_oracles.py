@@ -122,12 +122,6 @@ def test_levy_cdf_median_closed_form(b):
     assert np.all(np.diff(spec.cdf(xs)) > 0)
 
 
-def test_levy_lt_closed_form():
-    spec = oracle_levy_half(2.0)
-    s = np.array([0.5, 1.0, 2.0])
-    np.testing.assert_allclose(spec.lt(s), np.exp(-2.0 * np.sqrt(s)), rtol=1e-15)
-
-
 def test_levy_joint_components():
     spec = oracle_levy_half(1.0)
     assert isinstance(spec.joint.law_m, Weibull)
