@@ -18,8 +18,14 @@ Where each functional comes from:
   (scale / G), and E e^{sX} of inverse_gamma, of weibull (scale G^{1/shape},
   a = 1) and of log_pareto (exp(exp(G / index)), a = 1).  One quadrature
   helper, ``_log_gamma_mean``, integrates each over T = log(G / a); it cuts
-  the line at the mode of T and at the point where the caller says the
-  integrand switches, and grades every piece toward its features.  E e^{sX}
+  the line at the mode of T, at its right shoulder for a < e^-40 and at the
+  point where the caller says the integrand switches, and grades every
+  piece toward its features.  Each piece goes to the package's own
+  tanh-sinh rule (Takahasi & Mori 1974) on nested levels h = 2^-3 ... 2^-8;
+  a piece stops at the first level where the error that its last three
+  sums predict, d_k^2 / d_{k-1} with d_k = |S_k - S_{k-1}|, is below 1e-14
+  of the mean, or at level 8.  scipy.special is the only scipy module the
+  package imports.  E e^{sX}
   keeps its closed forms at s = 0, for weibull shape 1 and where s > 0 has
   no finite moment.  E M^p and E log M of beta(a, b) switch to large-a
   expansions, and E log M to a series in b for b << a, where the closed
@@ -44,12 +50,11 @@ from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import LawValidationError, PreconditionError
 from .streams import LANE_M, LANE_Q, LANE_MAIN, RandomStream
 
-_QUAD_EPSREL = 1e-10
 # a piece of the line next to a feature of an integrand spans this many of
 # the feature's widths before the piece from the next cut takes over
 _FEATURE_WIDTHS = 40.0
@@ -68,6 +73,7 @@ _RANGE_EXACT_MAX = 1 << 16
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _FLOAT_TINY = np.finfo(float).tiny
+_FLOAT_MAX = np.finfo(float).max
 # Beta(a, b) moments use large-a expansions from a = _BETA_ASYMPTOTIC * max(p, 1)
 # on, where the betaln and digamma differences cancel; the omitted terms are
 # below 1e-17 * max(p, 1) in log E M^p there
@@ -77,6 +83,9 @@ _BETA_ASYMPTOTIC = 1e4
 # b / a or more, so _BETA_SMALL_TERMS of them reach 1e-18 relative
 _BETA_SMALL = 0.01
 _BETA_SMALL_TERMS = 9
+
+# the top bits of the low and the high 32-bit half of a 64-bit word
+_HALF_WORD_TOP_BITS = np.array([31, 63], dtype=np.uint64)
 
 EVENTS = ("M=0", "M=1", "M=-1", "|M|=1", "|M|<1", "|M|<=1", "|M|>1", "Q=0")
 
@@ -88,11 +97,6 @@ def _require(cond: bool, msg: str) -> None:
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
-
-
-def _quad(f, lo, hi) -> float:
-    val, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL)
-    return val
 
 
 def _exp(x: float) -> float:
@@ -118,14 +122,116 @@ def _log_ratio(x: float, y: float) -> float:
 _EXPM1_MINUS_TAYLOR = tuple(1.0 / math.factorial(n) for n in range(14, 1, -1))
 
 
-def _expm1_minus(t: float) -> float:
-    """e^t - 1 - t without the cancellation near t = 0; inf past the float range."""
-    if abs(t) < 0.25:
-        acc = 0.0
-        for c in _EXPM1_MINUS_TAYLOR:
-            acc = acc * t + c
-        return acc * t * t
-    return _exp(t) - 1.0 - t
+def _expm1_minus(t, a: float):
+    """a (e^t - 1 - t) for a float or an array t, without the cancellation
+    near t = 0; inf past the float range.
+
+    expm1(t) - t is exact but for the rounding of expm1(t), about 2^-53 |t|,
+    so up to a = 16 the product is good to 2^-51 absolute on |t| < 1/4, and
+    only a larger a takes the Taylor series on the entries with |t| < 1/4.
+    """
+    def taylor(u):
+        acc = _EXPM1_MINUS_TAYLOR[0]
+        for c in _EXPM1_MINUS_TAYLOR[1:]:
+            acc = acc * u + c
+        return acc * u * u
+
+    if isinstance(t, float):
+        if a > 16.0 and abs(t) < 0.25:
+            return a * taylor(t)
+        return a * (math.expm1(t) - t) if t < 709.0 else math.inf
+    out = np.expm1(t) - t
+    if a > 16.0:
+        near = np.abs(t) < 0.25
+        if near.any():
+            out[near] = taylor(t[near])
+    return a * out
+
+
+# The tanh-sinh rule of Takahasi & Mori, "Double exponential formulas for
+# numerical integration" (Publ. RIMS 1974): x = (1 + tanh(pi/2 sinh t)) / 2
+# maps the line onto [0, 1], and the error of the trapezoid rule in t at step
+# h = 2^-k, |t| <= _TS_T_MAX, falls about as e^{-c / h}, even with an
+# integrable singularity at an end, so each halving of h about squares it.
+# Level k adds the odd multiples of 2^-k to the nodes of level k - 1; a call
+# evaluates levels 3-5 at once, then one level at a time up to 8, and stops
+# once its sums meet _TS_TOL (see _converged).
+_TS_T_MAX = 3.4  # the outermost weights are below 1e-18
+_TS_STAGES_LEVELS = ((3, 4, 5), (6,), (7,), (8,))
+_TS_TOL = 1e-14
+
+
+def _tanh_sinh_stages():
+    """Per stage: (end, offset, weight, starts, steps), a node at x = end + offset.
+
+    ``end`` is 0 or 1, the end a node is nearer to, and ``offset`` its signed
+    distance from that end, kept exactly instead of rounding 1 - 4e-21 to 1.
+    ``weight`` is dx/dt there.  The nodes of the stage's levels follow one
+    another, level i from index ``starts[i]`` on, and ``steps`` holds the
+    levels' h.
+    """
+    k_max = _TS_STAGES_LEVELS[-1][-1]
+    j = np.arange(-int(_TS_T_MAX * 2 ** k_max), int(_TS_T_MAX * 2 ** k_max) + 1)
+    t = np.ldexp(j.astype(float), -k_max)
+    u = 0.5 * math.pi * np.sinh(t)
+    dist = 1.0 / (1.0 + np.exp(2.0 * np.abs(u)))  # (1 - tanh|u|) / 2
+    dxdt = 0.25 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    level = np.full(j.size, k_max)
+    for k in range(1, k_max - _TS_STAGES_LEVELS[0][0] + 1):
+        level[j % (1 << k) == 0] = k_max - k
+    stages = []
+    for levels in _TS_STAGES_LEVELS:
+        on = np.concatenate([np.flatnonzero(level == k) for k in levels])
+        starts = np.cumsum([0] + [np.count_nonzero(level == k) for k in levels[:-1]])
+        stages.append(((t[on] > 0).astype(float), np.where(t[on] > 0, -dist[on], dist[on]),
+                       dxdt[on], starts, [math.ldexp(1.0, -k) for k in levels]))
+    return tuple(stages)
+
+
+_TS_STAGES = _tanh_sinh_stages()
+
+
+def _converged(s0, s1, s2, total) -> bool:
+    """Whether a row's S_k = s2 is within _TS_TOL * total of its integral.
+
+    s0 and s1 are the row's S_{k-2} and S_{k-1}, and ``total`` > 0 is the
+    sum of all rows' latest sums.  With d_k = |S_k - S_{k-1}|, about the
+    error of S_{k-1}, the error of S_k is taken as d_k^2 / d_{k-1}: the next
+    difference if the ratio of the last two held, which is no smaller than
+    the d_k^2 that quadratic convergence gives.  Sums that agree to
+    _TS_TOL * total stop at once.
+    """
+    d1, d2 = abs(s1 - s0), abs(s2 - s1)
+    return d2 <= _TS_TOL * total or d2 / total * d2 <= _TS_TOL * d1
+
+
+def _tanh_sinh(f, lengths: list) -> float:
+    """The sum over rows i of int_0^{lengths[i]} of row i of f, >= 0.
+
+    f(v, rows) takes the nodes v of shape (len(rows), n), one row per entry
+    of ``rows`` (a list of row numbers, or a slice for all of them), and
+    returns the integrand there.  Each row gets one tanh-sinh rule and stops
+    on its own, at the first level where ``_converged`` holds, or returns
+    its level 8 sum; all rows stop once their total is 0 or inf.  The
+    per-level sums are few, so they are kept in floats.
+    """
+    ids, rows, span = range(len(lengths)), slice(None), np.array(lengths)[:, None]
+    raw = [0.0] * len(lengths)  # per row, the sum of f dx/dt over the nodes so far
+    sums = [[] for _ in lengths]  # per row, the sums of its levels so far
+    for end, offset, weight, starts, steps in _TS_STAGES:
+        level = np.add.reduceat(f(span * end + span * offset, rows) * weight, starts, axis=1)
+        for r, row_level in zip(ids, level.tolist()):
+            for x, h in zip(row_level, steps):
+                raw[r] += x
+                sums[r].append(h * lengths[r] * raw[r])
+        total = sum(s[-1] for s in sums)
+        if not 0.0 < total < math.inf:
+            break
+        ids = rows = [r for r in ids if not _converged(*sums[r][-3:], total)]
+        if not ids:
+            break
+        span = np.array([lengths[r] for r in ids])[:, None]
+    return sum(s[-1] for s in sums)
 
 
 def _log_gamma_mean(a, log_h, switch, width, lo=-math.inf, hi=math.inf) -> float:
@@ -137,12 +243,18 @@ def _log_gamma_mean(a, log_h, switch, width, lo=-math.inf, hi=math.inf) -> float
     caller says h changes regime (a non-finite switch adds no cut).  The
     line is cut there and at lo and hi.  A finite piece is split so that the
     half at its finer feature spans _FEATURE_WIDTHS of its widths, and a
-    tail is split there when the density is wider still.  Each part is one
-    quadrature in v, t = end +- w (e^v - 1), graded toward the end's
-    feature of width w, so that no feature falls between the nodes.
+    tail is split there when the density is wider still.  Below a = e^-40
+    the density's right shoulder, a (e^t - 1) = 1, is one more feature: it
+    ends a plateau of width -log a over a width of 1.  Each part is one
+    integral in v, t = end +- w (e^v - 1), graded toward the end's feature of
+    width w, so that no feature falls between the nodes.  All parts go to one
+    tanh-sinh rule (``_tanh_sinh``), one row each, evaluated together in
+    numpy; a row stops at the first level where d_k^2 / d_{k-1}, the error
+    its last three sums predict, is below _TS_TOL = 1e-14 of the sum of all
+    rows (``_converged``).  ``log_h`` maps floats and numpy arrays alike.
     """
     log_a = math.log(a)
-    c0 = 0.5 * log_a - _HALF_LOG_2PI - float(_stirling_remainder(np.float64(a), log_a))
+    c0 = 0.5 * log_a - _HALF_LOG_2PI - _stirling_remainder(float(a), log_a)
     r = min(math.sqrt(2.0 / a) + 1.0 / a, 1e300)  # a (e^t - 1 - t) = 1 about here
     w_left, w_right = r, math.log1p(r)
 
@@ -151,7 +263,7 @@ def _log_gamma_mean(a, log_h, switch, width, lo=-math.inf, hi=math.inf) -> float
     c_in = max(c0, -700.0)
 
     def log_g(t):  # NaN, inf - inf, is a growing h beaten by the density's right tail
-        return c_in + log_h(t) - a * _expm1_minus(t)
+        return c_in + log_h(t) - _expm1_minus(t, a)
 
     def scale(t):  # the density's width at t, no finer than the float spacing
         d = a * abs(_exp(t) - 1.0)
@@ -159,46 +271,52 @@ def _log_gamma_mean(a, log_h, switch, width, lo=-math.inf, hi=math.inf) -> float
         return max(min(w, 1.0 / d) if d * w > 1.0 else w, 16.0 * math.ulp(t))
 
     features = [(0.0, w_right)]
+    if -log_a > _FEATURE_WIDTHS:  # the right shoulder, a (e^t - 1) = 1 about here
+        features.append((-log_a, 1.0))
     if -math.inf < switch < math.inf:
         features.append((switch, max(min(width, scale(switch)), 16.0 * math.ulp(switch))))
 
     def cut_width(p):  # a feature seen from p is no finer than its distance
         return min([scale(p)] + [max(w, abs(p - f)) for f, w in features])
 
-    def graded(end, sign, w, span):
-        if span == math.inf:
-            # log g is unimodal along a tail: it ends at the first doubling
-            # step where log g is 100 below the largest value met, or -inf
-            top, span = -math.inf, w
-            while span < 1e308:
-                v = log_g(end + sign * span)
-                if not v > top - 100.0:
-                    break
-                top, span = max(top, v), 2.0 * span
+    def tail_span(end, sign, w):
+        # log g is unimodal along a tail: it ends at the first doubling step
+        # where log g is 100 below the largest value met, or -inf, or at 1e308
+        top, span = -math.inf, w
+        while span < 1e308:
+            v = log_g(end + sign * span)
+            if not v > top - 100.0:
+                break
+            top, span = max(top, v), 2.0 * span
+        return span
 
-        def f(v):
-            d = w * (_exp(v) - 1.0)
-            x = log_g(end + sign * d)
-            return _exp(x) * (w + d) if x > -746.0 else 0.0  # NaN is 0 too
-
-        return _quad(f, 0.0, math.log1p(span / w))
-
+    pieces = []  # (end, sign, w, span): t runs from end over span, graded by w
     cuts = sorted({f for f, _ in features if lo < f < hi} | {lo, hi})
-    total = 0.0
-    for p, q in zip(cuts, cuts[1:]):
-        if math.isinf(p) or math.isinf(q):
-            end, sign = (q, -1.0) if math.isinf(p) else (p, 1.0)
-            w = cut_width(end)
-            m = end + sign * _FEATURE_WIDTHS * w
-            if scale(m) > _FEATURE_WIDTHS * w:
-                total += graded(end, sign, w, _FEATURE_WIDTHS * w)
-                end, w = m, scale(m)
-            total += graded(end, sign, w, math.inf)
-        else:
-            wp, wq = cut_width(p), cut_width(q)
-            d = min(_FEATURE_WIDTHS * min(wp, wq), 0.5 * (q - p))
-            m = p + d if wp <= wq else q - d
-            total += graded(p, 1.0, wp, m - p) + graded(q, -1.0, wq, q - m)
+    with np.errstate(all="ignore"):
+        for p, q in zip(cuts, cuts[1:]):
+            if math.isinf(p) or math.isinf(q):
+                end, sign = (q, -1.0) if math.isinf(p) else (p, 1.0)
+                w = cut_width(end)
+                m = end + sign * _FEATURE_WIDTHS * w
+                if scale(m) > _FEATURE_WIDTHS * w:
+                    pieces.append((end, sign, w, _FEATURE_WIDTHS * w))
+                    end, w = m, scale(m)
+                pieces.append((end, sign, w, tail_span(end, sign, w)))
+            else:
+                wp, wq = cut_width(p), cut_width(q)
+                d = min(_FEATURE_WIDTHS * min(wp, wq), 0.5 * (q - p))
+                m = p + d if wp <= wq else q - d
+                pieces += [(p, 1.0, wp, m - p), (q, -1.0, wq, q - m)]
+        ends, steps, bases = np.array([(e, s * w, c_in + math.log(w)) for e, s, w, _ in pieces]).T
+        ends, steps, bases = ends[:, None], steps[:, None], bases[:, None]
+
+        def f(v, rows):  # over v, the graded integrand g(t) dt/dv = g(t) w e^v
+            t = ends[rows] + steps[rows] * np.expm1(v)
+            y = log_h(t) - _expm1_minus(t, a) + (bases[rows] + v)
+            return np.exp(np.fmax(y, -math.inf))  # NaN is 0 too
+
+        # a span / w past the float range, for a subnormal w, is cut to it
+        total = _tanh_sinh(f, [math.log1p(min(span / w, _FLOAT_MAX)) for _, _, w, span in pieces])
     return math.exp(c0 - c_in) * total
 
 
@@ -209,13 +327,19 @@ def _field_names(cls) -> tuple[str, ...]:
 
 def _stirling_remainder(k, log_k):
     """log Gamma(k) - ((k - 1/2) log k - k + log(2 pi)/2), which is also
-    log k! - ((k + 1/2) log k - k + log(2 pi)/2); a series for k >= 30."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the unused branch
+    log k! - ((k + 1/2) log k - k + log(2 pi)/2); a series for k >= 30.
+    A float k takes its one branch in floats."""
+    def series(k):
         k2 = k * k
-        return np.where(
-            k >= 30.0,
-            (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k,
-            special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI)
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
+
+    def direct(k):
+        return special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI
+
+    if isinstance(k, float):
+        return series(k) if k >= 30.0 else float(direct(k))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the unused branch
+        return np.where(k >= 30.0, series(k), direct(k))
 
 
 def _poisson_log_pmf(k: np.ndarray, d: np.ndarray, lam: float) -> np.ndarray:
@@ -687,8 +811,7 @@ class Gamma(ScalarLaw):
     def log_plus_abs_moment(self):
         # log X = T - c for T = log(G / shape): E (T - c) over T > c
         c = _log_ratio(self.rate, self.shape)
-        return _log_gamma_mean(self.shape, lambda t: math.log(t - c) if t > c else -math.inf,
-                               c, math.inf, lo=c)
+        return _log_gamma_mean(self.shape, lambda t: np.log(t - c), c, math.inf, lo=c)
 
 
 @dataclass(frozen=True)
@@ -802,19 +925,20 @@ class Weibull(ScalarLaw):
         k, lam = self.shape, self.scale
         if s == 0:
             return 1.0
-        if k == 1:
-            return Exponential(1.0 / lam).exp_moment(s)
+        if k == 1:  # X = lam E, E ~ Exp(1); 1 / lam overflows for lam below 2^-1024
+            z = s * lam
+            return 1.0 / (1.0 - z) if z < 1.0 else math.inf
         if k < 1 and s > 0:
             return math.inf
         # X = lam e^{T / k} for T = log G, G ~ Exp(1) = Gamma(1, 1): s X = +-e^{ell + T/k}
         ell = math.log(abs(s)) + math.log(lam)
         if s < 0:
             # h switches at T = -k ell, over a width of k
-            return _log_gamma_mean(1.0, lambda t: -_exp(ell + t / k), -k * ell, k)
+            return _log_gamma_mean(1.0, lambda t: -np.exp(ell + t / k), -k * ell, k)
         # h outgrows the density up to the peak of e^{ell + T/k} - e^T, near
         # T = k (ell - log k) / (k - 1) where e^T >> 1, of width about e^{-T/2}
         peak = k * (ell - math.log(k)) / (k - 1.0) if ell > math.log(k) else -math.inf
-        return _log_gamma_mean(1.0, lambda t: _exp(ell + t / k), peak, _exp(-0.5 * peak))
+        return _log_gamma_mean(1.0, lambda t: np.exp(ell + t / k), peak, _exp(-0.5 * peak))
 
     def exp_abscissa(self):
         if self.shape > 1:
@@ -955,7 +1079,7 @@ class InverseGamma(ScalarLaw):
         # s X = -e^{ell - T} for T = log(G / shape): h switches at T = ell,
         # over a width of 1
         ell = math.log(-s) + _log_ratio(self.scale, self.shape)
-        return _log_gamma_mean(self.shape, lambda t: -_exp(ell - t), ell, 1.0)
+        return _log_gamma_mean(self.shape, lambda t: -np.exp(ell - t), ell, 1.0)
 
     def exp_abscissa(self):
         return 0.0
@@ -966,8 +1090,7 @@ class InverseGamma(ScalarLaw):
     def log_plus_abs_moment(self):
         # log X = c - T for T = log(G / shape): E (c - T) over T < c
         c = _log_ratio(self.scale, self.shape)
-        return _log_gamma_mean(self.shape, lambda t: math.log(c - t) if t < c else -math.inf,
-                               c, math.inf, hi=c)
+        return _log_gamma_mean(self.shape, lambda t: np.log(c - t), c, math.inf, hi=c)
 
 
 @dataclass(frozen=True)
@@ -984,7 +1107,15 @@ class SignedRademacher(_AtomLaw):
         self._set_atoms(((-float(self.scale), 0.5), (float(self.scale), 0.5)))
 
     def sample_block(self, gen, size):
-        return self.scale * (2.0 * gen.integers(0, 2, size) - 1.0)
+        n = math.prod(size) if isinstance(size, tuple) else size
+        if n % 2:
+            return self.scale * (2.0 * gen.integers(0, 2, size) - 1.0)
+        # integers(0, 2, size) takes bit 31 of each 32-bit half of the raw
+        # 64-bit words, low half first (Lemire's method for a range of 2 never
+        # rejects): the same signs, and the generator ends in the same state
+        raw = gen.bit_generator.random_raw(n // 2)
+        bits = (raw[:, None] >> _HALF_WORD_TOP_BITS) & np.uint64(1)
+        return np.array((-self.scale, self.scale)).take(bits.reshape(size))
 
     def exp_moment(self, s, of_abs=False):
         if of_abs:
@@ -1040,7 +1171,7 @@ class LogPareto(ScalarLaw):
         log_x = 1.0 + math.log1p(x)
         log_log_x = math.log1p(math.log1p(x))
         index = self.index
-        return _log_gamma_mean(1.0, lambda t: s * _exp(_exp(_exp(t) / index)),
+        return _log_gamma_mean(1.0, lambda t: s * np.exp(np.exp(np.exp(t) / index)),
                                math.log(index) + math.log(log_log_x),
                                x / ((1.0 + x) * log_x * log_log_x))
 

@@ -21,7 +21,10 @@ bisection.  Any mass of |M| above 1 kills all exponential moments (r_Z = 0).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import PreconditionError
 from .existence import VERDICT_CONVERGES, existence_report
@@ -91,7 +94,7 @@ class AbscissaResult:
     r_q: float
     r_star: float | None
     r_z: float
-    boundary_detail: dict | None
+    boundary_detail: Mapping[str, float] | None
     bisection_trace: tuple | None
 
     def to_json(self) -> dict:
@@ -251,8 +254,13 @@ def _r_star_search(joint: JointLaw) -> tuple[float, tuple]:
     return 0.5 * (lo + hi), tuple(trace)
 
 
+@lru_cache(maxsize=256)
 def r_of_perpetuity(joint: JointLaw) -> AbscissaResult:
-    """Abscissa of convergence r(Z) of the perpetuity's exponential moments."""
+    """Abscissa of convergence r(Z) of the perpetuity's exponential moments.
+
+    Results are cached per joint law, as existence reports are; the
+    boundary detail of a cached result is a read-only mapping.
+    """
     _require_nondegenerate(joint, "r_of_perpetuity")
     rep = existence_report(joint)
     if rep.verdict != VERDICT_CONVERGES:
@@ -271,8 +279,8 @@ def r_of_perpetuity(joint: JointLaw) -> AbscissaResult:
     detail = None
     if math.isfinite(r_z):
         a_minus, a_plus, b_minus, b_plus = _boundary_terms(joint, r_z)
-        detail = {"a_minus": a_minus, "a_plus": a_plus,
-                  "b_minus": b_minus, "b_plus": b_plus}
+        detail = MappingProxyType({"a_minus": a_minus, "a_plus": a_plus,
+                                   "b_minus": b_minus, "b_plus": b_plus})
     return AbscissaResult(regime, r_q, star, r_z, detail, trace)
 
 

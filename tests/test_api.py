@@ -16,13 +16,22 @@ def test_exports_resolve_and_are_distinct():
             seen[id(obj)] = name
 
 
-def test_import_loads_no_scipy_stats():
+def _loads_in_fresh_interpreter(module):
     # a fresh interpreter: other test modules import scipy.stats themselves
     src = str(Path(perpetua.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, perpetua, perpetua.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, perpetua, perpetua.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_loads_no_scipy_stats():
+    assert not _loads_in_fresh_interpreter("scipy.stats")
+
+
+def test_import_loads_no_scipy_integrate():
+    # the package integrates with its own tanh-sinh rule
+    assert not _loads_in_fresh_interpreter("scipy.integrate")

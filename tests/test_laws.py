@@ -143,6 +143,16 @@ def test_exp_moment_closed_forms():
         (math.exp(2.0) - 1.0) / 2.0)
 
 
+# Weibull shape 1 is Exp(1 / scale), and 1 / scale overflows below about
+# 5.6e-309: E e^{sX} = 1 / (1 - s scale) needs no rate
+@pytest.mark.parametrize("scale", [5e-324, 1e-310, 5.5e-309, 0.2, 1e300])
+def test_weibull_shape_one_exp_moment_at_any_scale(scale):
+    law = Weibull(1.0, scale)
+    for s in (-1e300, -2.0, -1e-8, 0.5, 1e300):
+        want = 1.0 / (1.0 - s * scale) if s * scale < 1.0 else math.inf
+        assert law.exp_moment(s) == pytest.approx(want, rel=1e-15)
+
+
 def test_exp_moment_against_scipy_expect():
     for law, dist, hi in [(Beta(2.0, 2.0), stats.beta(2, 2), 1.0),
                           (Weibull(2.0, 1.0), stats.weibull_min(2, scale=1), 40.0)]:
@@ -351,6 +361,30 @@ def test_point_mass_marginal_keys_no_generator():
     ms, qs = Independent(PointMass(0.5), Exponential(1.0)).draw_pairs(stream, 10)
     np.testing.assert_array_equal(ms, np.full(10, 0.5))
     assert LANE_M not in stream._gens and LANE_Q in stream._gens
+
+
+@pytest.mark.parametrize("size", [48, (3, 48), (256, 96), 47, 1])
+def test_signed_rademacher_block_matches_integers_and_generator_state(size):
+    # the sign bits are read off random_raw for an even count: values and the
+    # generator state after the call must be those of Generator.integers(0, 2)
+    law = SignedRademacher(1.7)
+    for key in range(100):
+        want_gen, got_gen = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        want = law.scale * (2.0 * want_gen.integers(0, 2, size) - 1.0)
+        got = law.sample_block(got_gen, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        want_state, got_state = want_gen.bit_generator.state, got_gen.bit_generator.state
+        for k in ("counter", "key"):
+            np.testing.assert_array_equal(got_state["state"][k], want_state["state"][k])
+        np.testing.assert_array_equal(got_state["buffer"], want_state["buffer"])
+        assert got_state["buffer_pos"] == want_state["buffer_pos"]
+        # an odd count leaves half a word buffered; uinteger is read only then
+        assert got_state["has_uint32"] == want_state["has_uint32"]
+        if want_state["has_uint32"]:
+            assert got_state["uinteger"] == want_state["uinteger"]
+        assert got_gen.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist() == \
+            want_gen.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist()
+        assert got_gen.random() == want_gen.random()
 
 
 def test_weibull_survival_keeps_tiny_tails():
@@ -702,6 +736,75 @@ def test_gamma_means_match_mpmath():
     misses = []
     for (law, s), value in zip(_GAMMA_MEAN_POINTS, got):
         want = _gamma_mean_reference(law, s)
+        if value != pytest.approx(want, rel=1e-12, abs=1e-300):
+            misses.append((law, s, value, want))
+    assert misses == []
+
+
+# --- the five Gamma means at the float limits ---------------------------------
+# shape, rate, scale and index in {1e-300, 1, 1e300}, every pair but (1, 1),
+# at the s of _SWEEP_S: 124 points.  Where the mpmath reference above fails
+# at these extremes, the reference is the exact limit of the mean:
+# - a = 1e-300: G has density a x^{-1} e^{-x} up to a factor 1 + O(a log x),
+#   so E (log G + c)^+ = a int_{-c}^inf (u + c) e^{-e^u} du, E log+ (b / G)
+#   = -digamma(a) = 1/a to 1e-284, E e^{-z / G} = 2 a K_0(2 sqrt z), and for
+#   log_pareto E h(e^{e^{G / i}}) = i int_0^inf h(e^{e^y}) dy;
+# - a = 1e300: T = log(G / a) has width 1e-150, so E (T + c)^+ is c, 0 or
+#   1 / sqrt(2 pi a), and X = b / G or scale G^{1/shape} equals b / a, resp.
+#   scale, to 1e-150, so E e^{sX} = e^{s b / a}, resp. e^{s scale}.
+_WIDE = (1e-300, 1.0, 1e300)
+_WIDE_PAIRS = [(a, b) for a in _WIDE for b in _WIDE if (a, b) != (1.0, 1.0)]
+_WIDE_POINTS = ([(cls(a, b), None) for cls in (Gamma, InverseGamma) for a, b in _WIDE_PAIRS]
+                + [(cls(a, b), s) for cls in (InverseGamma, Weibull) for a, b in _WIDE_PAIRS
+                   for s in _SWEEP_S]
+                + [(LogPareto(i), s) for i in (1e-300, 1e300) for s in _SWEEP_S])
+
+
+def _wide_limit(law, s):
+    """The exact limit of the mean at a float-limit parameter, or None."""
+    mp = mpmath.mpf
+    if s is not None and s > 0 and law.exp_abscissa() == 0.0:
+        return math.inf
+    with mpmath.workdps(30):
+        if isinstance(law, (Gamma, InverseGamma)) and law.shape == 1e300:
+            b = law.rate if isinstance(law, Gamma) else law.scale
+            if s is not None:
+                return float(mpmath.exp(mp(s) * b / law.shape))
+            c = mpmath.log(mp(law.shape) / b) * (1 if isinstance(law, Gamma) else -1)
+            return float(c if c > 0 else 1 / mpmath.sqrt(2 * mpmath.pi * law.shape) if c == 0 else 0)
+        if isinstance(law, Gamma) and law.shape == 1e-300:
+            c = -mpmath.log(mp(law.rate))
+            if c < -10:
+                return 0.0
+            pts = [-c] + [u for u in (-10, 0, 2, 6) if u > -c]
+            return float(law.shape * mpmath.quad(lambda u: (u + c) * mpmath.exp(-mpmath.exp(u)), pts))
+        if isinstance(law, Gamma) and law.rate == 1e300:
+            return 0.0  # P{G > 1e300} = e^-1e300
+        if isinstance(law, InverseGamma) and law.shape == 1e-300:
+            if s is None:
+                return 1e300
+            z = -mp(s) * law.scale
+            return float(2 * law.shape * mpmath.besselk(0, 2 * mpmath.sqrt(z)))
+        if isinstance(law, Weibull) and law.shape == 1e300:
+            return float(mpmath.exp(mp(s) * law.scale))
+        if isinstance(law, LogPareto) and law.index == 1e-300:
+            return float(law.index * mpmath.quad(lambda y: mpmath.exp(s * mpmath.exp(mpmath.exp(y))),
+                                                 mpmath.linspace(0, 4, 33)))
+    return None
+
+
+def test_gamma_means_at_the_float_limits():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = [law.log_plus_abs_moment() if s is None else law.exp_moment(s)
+               for law, s in _WIDE_POINTS]
+    assert caught == []
+    assert len(_WIDE_POINTS) == 124
+    misses = []
+    for (law, s), value in zip(_WIDE_POINTS, got):
+        want = _wide_limit(law, s)
+        if want is None:
+            want = _gamma_mean_reference(law, s)
         if value != pytest.approx(want, rel=1e-12, abs=1e-300):
             misses.append((law, s, value, want))
     assert misses == []

@@ -222,6 +222,27 @@ def test_r_of_perpetuity_boundary():
     assert res.r_z == pytest.approx(0.6, abs=1e-6)
 
 
+def test_r_of_perpetuity_is_cached_per_joint(monkeypatch):
+    # a boundary-regime r* costs dozens of E e^{sQ} quadratures: a repeat
+    # request for an equal joint reads the cache instead
+    def joint():
+        return Independent(FiniteDiscrete((1.0, 0.5), (0.5, 0.5)), Weibull(2.0, 1.0))
+
+    calls = []
+    exp_moment = Weibull.exp_moment
+    monkeypatch.setattr(Weibull, "exp_moment",
+                        lambda self, *args, **kw: calls.append(args) or exp_moment(self, *args, **kw))
+    r_of_perpetuity.cache_clear()
+    first = r_of_perpetuity(joint())
+    assert first.regime == REGIME_BOUNDARY and calls
+    calls.clear()
+    again = r_of_perpetuity(joint())
+    assert calls == []
+    assert again == first and again.to_json() == first.to_json()
+    with pytest.raises(TypeError):  # a cached result hands out no mutable detail
+        again.boundary_detail["a_plus"] = 0.0
+
+
 def test_r_of_perpetuity_expanding():
     j = Independent(FiniteDiscrete((2.0, 0.1), (0.2, 0.8)), Exponential(1.0))
     res = r_of_perpetuity(j)
