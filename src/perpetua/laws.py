@@ -254,7 +254,7 @@ def _log_gamma_mean(a, log_h, switch, width, lo=-math.inf, hi=math.inf) -> float
     rows (``_converged``).  ``log_h`` maps floats and numpy arrays alike.
     """
     log_a = math.log(a)
-    c0 = 0.5 * log_a - _HALF_LOG_2PI - _stirling_remainder(float(a), log_a)
+    c0 = 0.5 * log_a - _HALF_LOG_2PI - float(_stirling_remainder(np.float64(a), log_a))
     r = min(math.sqrt(2.0 / a) + 1.0 / a, 1e300)  # a (e^t - 1 - t) = 1 about here
     w_left, w_right = r, math.log1p(r)
 
@@ -327,19 +327,13 @@ def _field_names(cls) -> tuple[str, ...]:
 
 def _stirling_remainder(k, log_k):
     """log Gamma(k) - ((k - 1/2) log k - k + log(2 pi)/2), which is also
-    log k! - ((k + 1/2) log k - k + log(2 pi)/2); a series for k >= 30.
-    A float k takes its one branch in floats."""
-    def series(k):
-        k2 = k * k
-        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
-
-    def direct(k):
-        return special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI
-
-    if isinstance(k, float):
-        return series(k) if k >= 30.0 else float(direct(k))
+    log k! - ((k + 1/2) log k - k + log(2 pi)/2); a series for k >= 30."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the unused branch
-        return np.where(k >= 30.0, series(k), direct(k))
+        k2 = k * k
+        return np.where(
+            k >= 30.0,
+            (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k,
+            special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI)
 
 
 def _poisson_log_pmf(k: np.ndarray, d: np.ndarray, lam: float) -> np.ndarray:
@@ -1112,7 +1106,12 @@ class SignedRademacher(_AtomLaw):
             return self.scale * (2.0 * gen.integers(0, 2, size) - 1.0)
         # integers(0, 2, size) takes bit 31 of each 32-bit half of the raw
         # 64-bit words, low half first (Lemire's method for a range of 2 never
-        # rejects): the same signs, and the generator ends in the same state
+        # rejects), but starts with the half a generator buffers after an odd
+        # count of 32-bit draws.  With no half buffered (has_uint32 == 0) this
+        # gives the same signs and leaves the same state.  The package's draw
+        # paths make an odd count only as a stream's last draw, so they never
+        # come here with a half buffered; reading the state to check would
+        # cost about what this path saves.
         raw = gen.bit_generator.random_raw(n // 2)
         bits = (raw[:, None] >> _HALF_WORD_TOP_BITS) & np.uint64(1)
         return np.array((-self.scale, self.scale)).take(bits.reshape(size))

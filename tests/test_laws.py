@@ -387,6 +387,32 @@ def test_signed_rademacher_block_matches_integers_and_generator_state(size):
         assert got_gen.random() == want_gen.random()
 
 
+def test_signed_rademacher_even_block_needs_no_buffered_half():
+    # an odd count leaves half a word buffered, which integers(0, 2) reads
+    # first and the random_raw path does not: the signs then differ, so an
+    # even block must not follow an odd one on the same generator
+    law = SignedRademacher(1.0)
+    want_gen, got_gen = (np.random.Generator(np.random.Philox(key=5)) for _ in range(2))
+    assert law.sample_block(got_gen, 47).tolist() == \
+        (2.0 * want_gen.integers(0, 2, 47) - 1.0).tolist()
+    assert got_gen.bit_generator.state["has_uint32"] == 1
+    assert law.sample_block(got_gen, 48).tolist() != \
+        (2.0 * want_gen.integers(0, 2, 48) - 1.0).tolist()
+
+
+def test_signed_rademacher_draw_path_matches_integers():
+    # the blocks of one path, as the sampler draws them: even counts, then an
+    # odd last one
+    law = SignedRademacher(1.0)
+    joint = Independent(law, Exponential(1.0))
+    for stream_id in range(20):
+        stream = RandomStream(3, stream_id)
+        want_gen = RandomStream(3, stream_id).generator(LANE_M)
+        for size in (48, 96, 47):
+            ms, _ = joint.draw_pairs(stream, size)
+            assert ms.tolist() == (2.0 * want_gen.integers(0, 2, size) - 1.0).tolist()
+
+
 def test_weibull_survival_keeps_tiny_tails():
     law = Weibull(2.0, 66.0 ** -0.5)
     assert law.prob_abs_gt(1.0) == pytest.approx(math.exp(-66.0), rel=1e-12)
