@@ -15,3 +15,10 @@ class PreconditionError(PerpetuaError):
 
 class NonConvergentError(PerpetuaError):
     """Sampling was requested for a perpetuity that does not converge."""
+
+
+class DrawError(PerpetuaError):
+    """One draw of a batch failed; the message names the draw's stream id."""
+
+    def __init__(self, stream_id: int, exc: Exception):
+        super().__init__(f"sample with stream id {stream_id} failed: {exc}")

@@ -2,10 +2,13 @@
 
 A perpetuity is driven by i.i.d. copies of a pair (M, Q); this module gives
 the closed vocabulary of marginal families and the two supported couplings
-(independent marginals, finite joint atoms).  Every family carries exact
-samplers plus the analytic functionals the rest of the package needs:
+(independent marginals, finite joint atoms).  Every family carries an exact
+sampler plus the analytic functionals the rest of the package needs:
 moments of |X|, exponential moments and their abscissa of convergence,
-distribution functions, atom probabilities and logarithmic moments.
+distribution functions, atom probabilities and logarithmic moments.  A
+sampler is one numpy generator call per stream key (``_draw``) and an
+elementwise rest (``_finish``), so a joint's ``draw_rows`` makes one call per
+draw of a wave and finishes the whole wave's rows at once.
 
 Where each functional comes from:
 
@@ -50,10 +53,11 @@ from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
+from numpy.random import Generator
 from scipy import special
 
-from .errors import LawValidationError, PreconditionError
-from .streams import LANE_M, LANE_Q, LANE_MAIN, RandomStream
+from .errors import DrawError, LawValidationError, PreconditionError
+from .streams import LANE_M, LANE_Q, LANE_MAIN, LanePool, RandomStream
 
 # a piece of the line next to a feature of an integrand spans this many of
 # the feature's widths before the piece from the next cut takes over
@@ -83,6 +87,10 @@ _BETA_ASYMPTOTIC = 1e4
 # b / a or more, so _BETA_SMALL_TERMS of them reach 1e-18 relative
 _BETA_SMALL = 0.01
 _BETA_SMALL_TERMS = 9
+# E log X of gamma and inverse_gamma takes digamma(a) - log a as its
+# asymptotic series from shape a = _DIGAMMA_SERIES on, where the difference
+# cancels; the omitted terms are below 1e-15 of it there
+_DIGAMMA_SERIES = 30.0
 
 # the top bits of the low and the high 32-bit half of a 64-bit word
 _HALF_WORD_TOP_BITS = np.array([31, 63], dtype=np.uint64)
@@ -116,6 +124,13 @@ def _log_ratio(x: float, y: float) -> float:
     """log(x / y) for x, y > 0, rounded once where x / y is a normal float."""
     q = x / y
     return math.log(q) if _FLOAT_TINY <= q < math.inf else math.log(x) - math.log(y)
+
+
+def _digamma_minus_log(a: float) -> float:
+    """digamma(a) - log a for a >= _DIGAMMA_SERIES, by its asymptotic series
+    -1/(2a) - sum B_2k / (2k a^2k) through a^-8."""
+    a2 = a * a
+    return -0.5 / a - (1 / 12 - (1 / 120 - (1 / 252 - 1 / (240 * a2)) / a2) / a2) / a2
 
 
 # below |t| = 1/4 the terms of e^t - 1 - t through t^14 reach 1e-18 relative
@@ -369,9 +384,20 @@ class ScalarLaw:
     family = "abstract"
 
     # -- sampling ---------------------------------------------------------
+    #
+    # A sampler is the one numpy call ``_draw``, which runs once per stream
+    # key, and the elementwise rest ``_finish``, which runs once on the rows
+    # of a whole wave (``draw_rows``); each row equals ``sample_block`` on
+    # that row's generator, bit for bit.
 
-    def sample_block(self, gen, size: int) -> np.ndarray:
+    def _draw(self, gen, size) -> np.ndarray:
         raise NotImplementedError
+
+    def _finish(self, raw: np.ndarray) -> np.ndarray:
+        return raw
+
+    def sample_block(self, gen, size) -> np.ndarray:
+        return self._finish(self._draw(gen, size))
 
     # -- distribution functions ------------------------------------------
 
@@ -540,8 +566,9 @@ class PointMass(_AtomLaw):
         _require(_finite(self.value), "point_mass: value must be finite")
         self._set_atoms(((float(self.value), 1.0),))
 
-    def sample_block(self, gen, size):
-        block = np.empty(size)  # empty + fill: a quarter of np.full's overhead
+    def _draw(self, gen, size):
+        # no randomness: gen is None; empty + fill is a quarter of np.full's overhead
+        block = np.empty(size)
         block.fill(float(self.value))
         return block
 
@@ -579,8 +606,11 @@ class FiniteDiscrete(_AtomLaw):
     def _varr(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def sample_block(self, gen, size):
-        idx = np.searchsorted(self._cum, gen.random(size), side="right")
+    def _draw(self, gen, size):
+        return gen.random(size)
+
+    def _finish(self, raw):
+        idx = np.searchsorted(self._cum, raw, side="right")
         return self._varr[np.minimum(idx, len(self.values) - 1)]
 
 
@@ -598,8 +628,11 @@ class UniformContinuous(ScalarLaw):
     def _width(self):
         return self.hi - self.lo
 
-    def sample_block(self, gen, size):
-        return self.lo + self._width() * gen.random(size)
+    def _draw(self, gen, size):
+        return gen.random(size)
+
+    def _finish(self, raw):
+        return self.lo + self._width() * raw
 
     def cdf(self, x):
         if x <= self.lo:
@@ -666,8 +699,11 @@ class UniformDiscreteRange(ScalarLaw):
         _require(isinstance(self.n, int) and 1 <= self.n <= _INTEGERS_HIGH_MAX,
                  "uniform_discrete_range: n must be an integer in [1, 2^63]")
 
-    def sample_block(self, gen, size):
-        return gen.integers(0, self.n, size).astype(float)
+    def _draw(self, gen, size):
+        return gen.integers(0, self.n, size)
+
+    def _finish(self, raw):
+        return raw.astype(float)
 
     def cdf(self, x):
         if x < 0:
@@ -737,8 +773,11 @@ class Exponential(ScalarLaw):
     def __post_init__(self):
         _require(_finite(self.rate) and self.rate > 0, "exponential: rate must be > 0")
 
-    def sample_block(self, gen, size):
-        return gen.standard_exponential(size) / self.rate
+    def _draw(self, gen, size):
+        return gen.standard_exponential(size)
+
+    def _finish(self, raw):
+        return raw / self.rate
 
     def cdf(self, x):
         return -math.expm1(-self.rate * x) if x > 0 else 0.0
@@ -777,8 +816,11 @@ class Gamma(ScalarLaw):
         _require(_finite(self.shape) and self.shape > 0, "gamma: shape must be > 0")
         _require(_finite(self.rate) and self.rate > 0, "gamma: rate must be > 0")
 
-    def sample_block(self, gen, size):
-        return gen.standard_gamma(self.shape, size) / self.rate
+    def _draw(self, gen, size):
+        return gen.standard_gamma(self.shape, size)
+
+    def _finish(self, raw):
+        return raw / self.rate
 
     def cdf(self, x):
         return float(special.gammainc(self.shape, self.rate * x)) if x > 0 else 0.0
@@ -800,7 +842,9 @@ class Gamma(ScalarLaw):
         return self.rate
 
     def log_abs_mean(self):
-        return float(special.digamma(self.shape)) - math.log(self.rate)
+        if self.shape < _DIGAMMA_SERIES:
+            return float(special.digamma(self.shape)) - math.log(self.rate)
+        return _log_ratio(self.shape, self.rate) + _digamma_minus_log(self.shape)
 
     def log_plus_abs_moment(self):
         # log X = T - c for T = log(G / shape): E (T - c) over T > c
@@ -819,7 +863,7 @@ class Beta(ScalarLaw):
         _require(_finite(self.alpha) and self.alpha > 0, "beta: alpha must be > 0")
         _require(_finite(self.beta) and self.beta > 0, "beta: beta must be > 0")
 
-    def sample_block(self, gen, size):
+    def _draw(self, gen, size):
         return gen.beta(self.alpha, self.beta, size)
 
     def cdf(self, x):
@@ -894,8 +938,11 @@ class Weibull(ScalarLaw):
         _require(_finite(self.shape) and self.shape > 0, "weibull: shape must be > 0")
         _require(_finite(self.scale) and self.scale > 0, "weibull: scale must be > 0")
 
-    def sample_block(self, gen, size):
-        return self.scale * gen.weibull(self.shape, size)
+    def _draw(self, gen, size):
+        return gen.weibull(self.shape, size)
+
+    def _finish(self, raw):
+        return self.scale * raw
 
     def cdf(self, x):
         if x <= 0:
@@ -966,8 +1013,11 @@ class Poisson(ScalarLaw):
         _require(_finite(self.mean) and 0 < self.mean <= _POISSON_MEAN_MAX,
                  f"poisson: mean must be in (0, {_POISSON_MEAN_MAX!r}]")
 
-    def sample_block(self, gen, size):
-        return gen.poisson(self.mean, size).astype(float)
+    def _draw(self, gen, size):
+        return gen.poisson(self.mean, size)
+
+    def _finish(self, raw):
+        return raw.astype(float)
 
     def cdf(self, x):
         if x < 0:
@@ -1046,8 +1096,11 @@ class InverseGamma(ScalarLaw):
         _require(_finite(self.shape) and self.shape > 0, "inverse_gamma: shape must be > 0")
         _require(_finite(self.scale) and self.scale > 0, "inverse_gamma: scale must be > 0")
 
-    def sample_block(self, gen, size):
-        return self.scale / gen.standard_gamma(self.shape, size)
+    def _draw(self, gen, size):
+        return gen.standard_gamma(self.shape, size)
+
+    def _finish(self, raw):
+        return self.scale / raw
 
     def cdf(self, x):
         if x <= 0:
@@ -1079,7 +1132,9 @@ class InverseGamma(ScalarLaw):
         return 0.0
 
     def log_abs_mean(self):
-        return math.log(self.scale) - float(special.digamma(self.shape))
+        if self.shape < _DIGAMMA_SERIES:
+            return math.log(self.scale) - float(special.digamma(self.shape))
+        return _log_ratio(self.scale, self.shape) - _digamma_minus_log(self.shape)
 
     def log_plus_abs_moment(self):
         # log X = c - T for T = log(G / shape): E (c - T) over T < c
@@ -1100,21 +1155,26 @@ class SignedRademacher(_AtomLaw):
                  "signed_rademacher: scale must be > 0")
         self._set_atoms(((-float(self.scale), 0.5), (float(self.scale), 0.5)))
 
-    def sample_block(self, gen, size):
-        n = math.prod(size) if isinstance(size, tuple) else size
-        if n % 2:
-            return self.scale * (2.0 * gen.integers(0, 2, size) - 1.0)
+    def _draw(self, gen, size):
+        shape = size if isinstance(size, tuple) else (size,)
+        if shape[-1] % 2:
+            return gen.integers(0, 2, size)
         # integers(0, 2, size) takes bit 31 of each 32-bit half of the raw
         # 64-bit words, low half first (Lemire's method for a range of 2 never
         # rejects), but starts with the half a generator buffers after an odd
-        # count of 32-bit draws.  With no half buffered (has_uint32 == 0) this
-        # gives the same signs and leaves the same state.  The package's draw
-        # paths make an odd count only as a stream's last draw, so they never
-        # come here with a half buffered; reading the state to check would
-        # cost about what this path saves.
-        raw = gen.bit_generator.random_raw(n // 2)
-        bits = (raw[:, None] >> _HALF_WORD_TOP_BITS) & np.uint64(1)
-        return np.array((-self.scale, self.scale)).take(bits.reshape(size))
+        # count of 32-bit draws.  With no half buffered (has_uint32 == 0) the
+        # words give the same signs and leave the same state.  The package's
+        # draw paths make an odd count only as a stream's last draw, so they
+        # never come here with a half buffered; reading the state to check
+        # would cost about what this path saves.
+        return gen.bit_generator.random_raw(shape[:-1] + (shape[-1] // 2,))
+
+    def _finish(self, raw):
+        # sign bits: integers(0, 2) gives them as they are, words hold two each
+        if raw.dtype == np.uint64:
+            bits = (raw[..., None] >> _HALF_WORD_TOP_BITS) & np.uint64(1)
+            raw = bits.reshape(raw.shape[:-1] + (-1,))
+        return np.array((-self.scale, self.scale)).take(raw)
 
     def exp_moment(self, s, of_abs=False):
         if of_abs:
@@ -1139,10 +1199,12 @@ class LogPareto(ScalarLaw):
     def __post_init__(self):
         _require(_finite(self.index) and self.index > 0, "log_pareto: index must be > 0")
 
-    def sample_block(self, gen, size):
-        w = 1.0 + gen.pareto(self.index, size)
+    def _draw(self, gen, size):
+        return gen.pareto(self.index, size)
+
+    def _finish(self, raw):
         with np.errstate(over="ignore"):
-            return np.exp(w)
+            return np.exp(1.0 + raw)
 
     def cdf(self, x):
         if x <= math.e:
@@ -1203,6 +1265,25 @@ def _lane_generator(law: ScalarLaw, stream: RandomStream, lane: int):
     return None if isinstance(law, PointMass) else stream.generator(lane)
 
 
+def _keyed_draws(draw, pool: LanePool, lane: int, seed: int, ids, size: int) -> np.ndarray:
+    """``draw(gen, size)`` on one lane of each stream (seed, i), i in ``ids``, as rows."""
+    rows = []
+    for i, gen in zip(ids, pool.rekeyed(lane, seed, ids)):
+        try:
+            rows.append(draw(gen, size))
+        except Exception as exc:
+            raise DrawError(i, exc) from exc
+    return np.array(rows)
+
+
+def _lane_rows(law: ScalarLaw, pool: LanePool, lane: int, seed: int, ids,
+               size: int) -> np.ndarray:
+    """Row k is ``law.sample_block`` on lane ``lane`` of stream (seed, ids[k])."""
+    if isinstance(law, PointMass):
+        return law._draw(None, (len(ids), size))
+    return law._finish(_keyed_draws(law._draw, pool, lane, seed, ids, size))
+
+
 @dataclass(frozen=True)
 class Independent:
     """Pair (M, Q) with independent marginals."""
@@ -1230,6 +1311,15 @@ class Independent:
         ms = self.law_m.sample_block(_lane_generator(self.law_m, stream, LANE_M), size)
         qs = self.law_q.sample_block(_lane_generator(self.law_q, stream, LANE_Q), size)
         return ms, qs
+
+    def draw_rows(self, seed: int, ids, size: int, pool: LanePool):
+        """Row k is ``draw_pairs(RandomStream(seed, ids[k]), size)``, bit for bit.
+
+        Each marginal makes one numpy call per stream and finishes all rows
+        at once; a point-mass marginal is one fill.
+        """
+        return (_lane_rows(self.law_m, pool, LANE_M, seed, ids, size),
+                _lane_rows(self.law_q, pool, LANE_Q, seed, ids, size))
 
     def restricted_exp_moment(self, s: float, q_sign: int, m_atom: float) -> float:
         """E e^{(q_sign) s Q} 1{M = m_atom} for s >= 0 and q_sign in {-1, +1}."""
@@ -1304,11 +1394,17 @@ class FiniteJoint:
     def marginal_q(self) -> ScalarLaw:
         return self._marginals[1]
 
-    def draw_pairs(self, stream: RandomStream, size: int):
-        gen = stream.generator(LANE_MAIN)
-        idx = np.searchsorted(self._cum, gen.random(size), side="right")
+    def _pairs(self, u: np.ndarray):
+        idx = np.searchsorted(self._cum, u, side="right")
         idx = np.minimum(idx, len(self.atoms) - 1)
         return self._marr[idx], self._qarr[idx]
+
+    def draw_pairs(self, stream: RandomStream, size: int):
+        return self._pairs(stream.generator(LANE_MAIN).random(size))
+
+    def draw_rows(self, seed: int, ids, size: int, pool: LanePool):
+        """Row k is ``draw_pairs(RandomStream(seed, ids[k]), size)``, bit for bit."""
+        return self._pairs(_keyed_draws(Generator.random, pool, LANE_MAIN, seed, ids, size))
 
     def restricted_exp_moment(self, s: float, q_sign: int, m_atom: float) -> float:
         total = 0.0

@@ -14,13 +14,15 @@ The series arithmetic lives in one kernel, ``_accumulate``, which runs many
 paths over rows of _BLOCK pairs at once and gives each row exactly the
 floating-point operations of one lone _BLOCK-pair block, in the same order.
 A chunk is a wavefront: every draw of a sub-chunk draws its first k
-rows from its own re-keyed streams (see ``streams.LanePool``), one kernel
-call covers them all, and draws still running re-draw those rows and go on
-alone in super-blocks of doubling size (``_draw_one``, which is also the
-single-draw path).  Since numpy's samplers give the same values whether a
-stream is read in one block or several, every sample equals the one the
-plain per-draw, block-at-a-time loop produces, bit for bit; k only changes
-how fast that happens.
+rows from its own re-keyed streams in one ``draw_rows`` call per
+sub-chunk, which makes one generator call per stream key (see
+``streams.LanePool``) and the sampler's elementwise work once on all rows;
+one kernel call covers them all, and draws still running re-draw those rows
+and go on alone in super-blocks of doubling size (``_draw_one``, which is
+also the single-draw path).  Since numpy's samplers give the same values
+whether a stream is read in one block or several, every sample equals the
+one the plain per-draw, block-at-a-time loop produces, bit for bit; k only
+changes how fast that happens.
 
 The empirical characteristic function is one kernel too, ``_cf_parts``.  On
 an arithmetic t-grid it rotates: e^{i(t+h)x} = e^{itx} e^{ihx}, one complex
@@ -38,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergentError, PerpetuaError, PreconditionError
+from .errors import DrawError, NonConvergentError, PreconditionError
 from .existence import (VERDICT_CONVERGES, VERDICT_DEGENERATE,
                         VERDICT_EXACT_STOP, existence_report)
 from .laws import JointLaw, joint_to_json
@@ -271,9 +273,10 @@ def sample_perpetuity(config: PerpetuityConfig, stream: RandomStream) -> SampleO
 def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
     """Draws for stream ids ``ids`` as a wavefront of sub-chunks.
 
-    Every draw of a sub-chunk takes its first ``rows`` rows of pairs through
-    one ``_accumulate`` call; draws still running after them continue alone.
-    ``rows`` for the next sub-chunk comes from the term counts just seen.
+    A sub-chunk draws the first ``rows`` rows of pairs of all its draws with
+    one ``draw_rows`` call and runs them through one ``_accumulate`` call;
+    draws still running after them continue alone.  ``rows`` for the next
+    sub-chunk comes from the term counts just seen.
     """
     joint, epsilon, max_terms = config.joint, config.epsilon, config.max_terms
     values = np.empty(len(ids))
@@ -287,17 +290,7 @@ def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
         size = min(rows * _BLOCK, max_terms)
         width = min(len(ids) - pos, _WAVE // (rows * _BLOCK), max(pos, _FIRST_WAVE))
         wave = ids[pos : pos + width]
-        ms, qs = [], []
-        try:
-            for i in wave:
-                m, q = joint.draw_pairs(RandomStream(config.seed, i, pool), size)
-                ms.append(m)
-                qs.append(q)
-        except Exception as exc:
-            raise _failed(i, exc) from exc
-        ms = np.concatenate(ms).reshape(width, size)
-        qs = np.concatenate(qs).reshape(width, size)
-        ms, qs = _rows(ms, qs)
+        ms, qs = _rows(*joint.draw_rows(config.seed, wave, size, pool))
         end = (size - 1) % _BLOCK if size == max_terms else None
         stop, value, trunc, exh, pi, total = _accumulate(
             ms, qs, epsilon, np.ones(width), np.zeros(width), end)
@@ -309,7 +302,7 @@ def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
                 out = _draw_one(joint, epsilon, max_terms, RandomStream(config.seed, i, pool),
                                 rows=rows, skip=rows, pi=float(pi[k]), total=float(total[k]))
             except Exception as exc:
-                raise _failed(i, exc) from exc
+                raise DrawError(i, exc) from exc
             value[k], trunc[k], exh[k], terms[k] = (out.value, out.truncated,
                                                     out.exhausted, out.terms)
         values[pos : pos + width] = value
@@ -319,11 +312,6 @@ def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
         rows = -(-int(np.partition(terms, kth)[kth]) // _BLOCK)
         pos += width
     return values, truncated, exhausted
-
-
-def _failed(stream_id: int, exc: Exception) -> PerpetuaError:
-    """A failure inside one draw, with its stream id attached."""
-    return PerpetuaError(f"sample with stream id {stream_id} failed: {exc}")
 
 
 def sample_batch(config: PerpetuityConfig, n: int) -> EmpiricalDistribution:

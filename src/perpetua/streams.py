@@ -15,12 +15,15 @@ Building a keyed ``Philox`` costs far more than drawing a block from it, so a
 batch that visits many streams one after another shares a ``LanePool``: one
 generator per lane whose state is reset to the stream's key, counter 0 and an
 empty buffer.  That is the state a freshly keyed generator starts in, so the
-draws are the same bytes either way.
+draws are the same bytes either way.  ``LanePool.rekeyed`` walks a lane over a
+whole wave of stream ids: the seed word of the key is set once, and each id
+costs one state assignment before its draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -65,18 +68,25 @@ class LanePool:
     def __init__(self):
         self._lanes: dict[int, tuple[Generator, dict]] = {}
 
-    def rekeyed(self, lane: int, key: tuple[int, int]) -> Generator:
-        """The lane's generator, reset to the fresh state of ``Philox(key=key)``."""
+    def rekeyed(self, lane: int, seed: int, stream_ids) -> Iterator[Generator]:
+        """The lane's generator, reset in turn to the fresh state of each stream.
+
+        Before it is yielded for stream id i, the generator is in the state
+        ``Philox(key=...)`` starts in for stream (seed, i); use it before
+        asking for the next.
+        """
         entry = self._lanes.get(lane)
         if entry is None:
-            gen = Generator(Philox(key=np.array(key, dtype=np.uint64)))
-            self._lanes[lane] = (gen, gen.bit_generator.state)
-            return gen
+            gen = Generator(Philox(key=0))
+            entry = self._lanes[lane] = (gen, gen.bit_generator.state)
         gen, fresh = entry
-        fresh_key = fresh["state"]["key"]
-        fresh_key[0], fresh_key[1] = key
-        gen.bit_generator.state = fresh
-        return gen
+        bit_generator = gen.bit_generator
+        key = fresh["state"]["key"]
+        key[0] = seed & _MASK64
+        for i in stream_ids:
+            key[1] = (i * _N_LANES + lane) & _MASK64
+            bit_generator.state = fresh
+            yield gen
 
 
 @dataclass(eq=True)
@@ -99,10 +109,10 @@ class RandomStream:
         if gen is None:
             if not 0 <= lane < _N_LANES:
                 raise ValueError(f"lane must be in [0, {_N_LANES}), got {lane}")
-            key = (self.seed & _MASK64, ((self.stream_id * _N_LANES) + lane) & _MASK64)
             if self.pool is None:
+                key = (self.seed & _MASK64, (self.stream_id * _N_LANES + lane) & _MASK64)
                 gen = Generator(Philox(key=np.array(key, dtype=np.uint64)))
             else:
-                gen = self.pool.rekeyed(lane, key)
+                gen = next(self.pool.rekeyed(lane, self.seed, (self.stream_id,)))
             self._gens[lane] = gen
         return gen

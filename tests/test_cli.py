@@ -312,14 +312,45 @@ def test_analyze_beta_with_alpha_far_above_beta(alpha, beta, tmp_path, capsys):
     assert [m["finite"] for m in report["moments"]] == [True, True]
 
 
+# E log M = digamma(a) - log(rate) lost its sign to rounding at a = rate =
+# 1e15 (0.0 against -5e-16), and so did log(scale) - digamma(a) at scale = a - 1
+@pytest.mark.parametrize("law", [
+    {"family": "gamma", "params": {"shape": 1e15, "rate": 1e15}},
+    {"family": "inverse_gamma", "params": {"shape": 1e15, "scale": 1e15 - 1}},
+], ids=["gamma", "inverse_gamma"])
+def test_analyze_gamma_laws_near_one_converge(law, tmp_path, capsys):
+    report = _analyze_clean(tmp_path, capsys, {"coupling": "independent", "M": law, "Q": EXP_ONE})
+    assert report["existence"]["verdict"] == "converges-a.s."
+
+
+def _fail_draw_of_stream(monkeypatch, stream_id):
+    """Make the M draw of one stream of a beta x exponential batch raise."""
+    draw = laws.Beta._draw
+
+    def fail(self, gen, size):
+        # a lane's second key word is stream id * 4 + lane
+        if gen.bit_generator.state["state"]["key"][1] // 4 == stream_id:
+            raise RuntimeError("no draw")
+        return draw(self, gen, size)
+    monkeypatch.setattr(laws.Beta, "_draw", fail)
+
+
 def test_failed_draw_is_usage_error(tmp_path, capsys, monkeypatch):
-    def fail(self, stream, size):
-        raise RuntimeError("no draw")
-    monkeypatch.setattr(laws.Independent, "draw_pairs", fail)
+    _fail_draw_of_stream(monkeypatch, 0)
     cfg = _write(tmp_path, BETA_EXP)
     assert main(["simulate", cfg, "--n", "20", "--out", str(tmp_path / "z.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: sample with stream id 0 failed: no draw\n"
+    assert captured.out == ""
+
+
+def test_failed_draw_names_its_own_stream_id(tmp_path, capsys, monkeypatch):
+    # stream 5 is drawn in the middle of the first wave, not at its start
+    _fail_draw_of_stream(monkeypatch, 5)
+    cfg = _write(tmp_path, BETA_EXP)
+    assert main(["simulate", cfg, "--n", "20", "--out", str(tmp_path / "z.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sample with stream id 5 failed: no draw\n"
     assert captured.out == ""
 
 

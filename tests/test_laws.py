@@ -16,7 +16,7 @@ from perpetua.laws import (EVENTS, Beta, Exponential, FiniteDiscrete,
                            UniformContinuous, UniformDiscreteRange, Weibull,
                            event_prob, joint_from_json, joint_to_json,
                            law_from_json, law_to_json)
-from perpetua.streams import LANE_M, LANE_Q, RandomStream
+from perpetua.streams import LANE_M, LANE_Q, LanePool, RandomStream
 
 # Density-backed families paired with their scipy counterparts; abs moments
 # are cross-checked against direct quadrature of x^p times the density.
@@ -361,6 +361,10 @@ def test_point_mass_marginal_keys_no_generator():
     ms, qs = Independent(PointMass(0.5), Exponential(1.0)).draw_pairs(stream, 10)
     np.testing.assert_array_equal(ms, np.full(10, 0.5))
     assert LANE_M not in stream._gens and LANE_Q in stream._gens
+    pool = LanePool()
+    ms, qs = Independent(PointMass(0.5), Exponential(1.0)).draw_rows(0, [0, 1], 10, pool)
+    np.testing.assert_array_equal(ms, np.full((2, 10), 0.5))
+    assert LANE_M not in pool._lanes and LANE_Q in pool._lanes
 
 
 @pytest.mark.parametrize("size", [48, (3, 48), (256, 96), 47, 1])
@@ -411,6 +415,62 @@ def test_signed_rademacher_draw_path_matches_integers():
         for size in (48, 96, 47):
             ms, _ = joint.draw_pairs(stream, size)
             assert ms.tolist() == (2.0 * want_gen.integers(0, 2, size) - 1.0).tolist()
+
+
+# one law of each family; log_pareto(0.2) overflows to inf in about a quarter
+# of its draws
+_ROW_LAWS = (
+    PointMass(0.5), FiniteDiscrete((0.0, 0.5, 2.0), (0.2, 0.3, 0.5)),
+    UniformContinuous(-1.0, 2.0), UniformDiscreteRange(7), Exponential(1.5),
+    Gamma(2.5, 0.5), Beta(19.0, 1.0), Weibull(0.5, 2.0), Poisson(3.0),
+    InverseGamma(1.5, 0.25), SignedRademacher(1.7), LogPareto(0.2),
+)
+_ROW_JOINTS = (
+    *(Independent(law, Gamma(2.0, 1.0)) for law in _ROW_LAWS),
+    *(Independent(UniformContinuous(0.0, 1.0), law) for law in _ROW_LAWS),
+    FiniteJoint(((0.5, 1.0, 0.5), (-0.9, -2.0, 0.3), (1.5, 0.5, 0.2))),
+    FiniteJoint(((0.0, 3.0, 0.2), (0.8, -1.0, 0.8))),
+)
+_ROW_SIZES = (1, 47, 48, 49, 96, 2 * 48 + 1)
+
+
+def _assert_rows_are_draw_pairs(joint, seed, ids, size, pool):
+    ms, qs = joint.draw_rows(seed, ids, size, pool)
+    want = [joint.draw_pairs(RandomStream(seed, i), size) for i in ids]
+    assert ms.shape == qs.shape == (len(ids), size)
+    assert ms.dtype == qs.dtype == np.float64
+    assert ms.tobytes() == np.array([m for m, _ in want]).tobytes()
+    assert qs.tobytes() == np.array([q for _, q in want]).tobytes()
+    return ms, qs
+
+
+@settings(max_examples=150, deadline=None)
+@given(joint=st.sampled_from(_ROW_JOINTS),
+       seed=st.integers(0, 2 ** 64 - 1),
+       ids=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=6),
+       sizes=st.lists(st.sampled_from(_ROW_SIZES), min_size=1, max_size=3))
+def test_draw_rows_are_stacked_draw_pairs(joint, seed, ids, sizes):
+    # one pool serves several waves, as in a batch, so an odd-sized wave
+    # must leave nothing buffered for the next
+    pool = LanePool()
+    for size in sizes:
+        _assert_rows_are_draw_pairs(joint, seed, ids, size, pool)
+
+
+@pytest.mark.parametrize("size", _ROW_SIZES)
+@pytest.mark.parametrize("law", [SignedRademacher(1.7), Poisson(3.0), Poisson(1e15),
+                                 UniformDiscreteRange(7), UniformDiscreteRange(2 ** 63),
+                                 LogPareto(0.2)], ids=repr)
+def test_draw_rows_of_laws_without_a_digest(law, size):
+    # no golden digest covers these samplers in a batch; log_pareto(0.2)
+    # must overflow to inf in its rows as in its per-stream draws
+    pool = LanePool()
+    ids = [*range(40), 2 ** 40]
+    for joint in (Independent(law, Exponential(1.0)), Independent(Beta(2.0, 1.0), law)):
+        for seed in (0, 2 ** 64 - 1):
+            ms, qs = _assert_rows_are_draw_pairs(joint, seed, ids, size, pool)
+    if isinstance(law, LogPareto) and size > 1:
+        assert np.isinf(qs).any() and np.isfinite(qs).any()
 
 
 def test_weibull_survival_keeps_tiny_tails():
@@ -564,6 +624,20 @@ def test_beta_moments_match_mpmath(a, b):
             got = law.abs_moment(p)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             assert (got < 1.0) == (want < 1.0)  # the moment criterion compares with 1
+
+
+# E log X = digamma(a) - log(rate) of gamma and log(scale) - digamma(a) of
+# inverse_gamma cancelled once rate or scale is near a: Gamma(1e15, 1e15)
+# gave 0.0 against -5e-16
+@pytest.mark.parametrize("a", [10.0, 1e4, 1e8, 1e15, 1e300])
+@pytest.mark.parametrize("ratio", [1.0, 1e-3, 2.5, 1e5])
+def test_gamma_log_means_match_mpmath(a, ratio):
+    c = a * ratio
+    # 30 digits beyond those that digamma(a) and log(a) share
+    with mpmath.workdps(30 + int(math.log10(a))):
+        want = float(mpmath.digamma(mpmath.mpf(a)) - mpmath.log(mpmath.mpf(c)))
+    assert Gamma(a, c).log_abs_mean() == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert InverseGamma(a, c).log_abs_mean() == pytest.approx(-want, rel=1e-13, abs=0.0)
 
 
 # below the large-a expansion, digamma(a) - digamma(a + b) cancelled once
