@@ -89,7 +89,8 @@ _BETA_SMALL = 0.01
 _BETA_SMALL_TERMS = 9
 # E log X of gamma and inverse_gamma takes digamma(a) - log a as its
 # asymptotic series from shape a = _DIGAMMA_SERIES on, where the difference
-# cancels; the omitted terms are below 1e-15 of it there
+# cancels; the omitted terms are below 3e-18 of it there, and below 1e-15 of
+# e^digamma(a) - a + 1/2, the part of it that decides the sign near c = a - 1/2
 _DIGAMMA_SERIES = 30.0
 
 # the top bits of the low and the high 32-bit half of a 64-bit word
@@ -126,13 +127,6 @@ def _log_ratio(x: float, y: float) -> float:
     return math.log(q) if _FLOAT_TINY <= q < math.inf else math.log(x) - math.log(y)
 
 
-def _digamma_minus_log(a: float) -> float:
-    """digamma(a) - log a for a >= _DIGAMMA_SERIES, by its asymptotic series
-    -1/(2a) - sum B_2k / (2k a^2k) through a^-8."""
-    a2 = a * a
-    return -0.5 / a - (1 / 12 - (1 / 120 - (1 / 252 - 1 / (240 * a2)) / a2) / a2) / a2
-
-
 # below |t| = 1/4 the terms of e^t - 1 - t through t^14 reach 1e-18 relative
 _EXPM1_MINUS_TAYLOR = tuple(1.0 / math.factorial(n) for n in range(14, 1, -1))
 
@@ -161,6 +155,25 @@ def _expm1_minus(t, a: float):
         if near.any():
             out[near] = taylor(t[near])
     return a * out
+
+
+def _digamma_minus_log_of(a: float, c: float) -> float:
+    """digamma(a) - log c for a >= _DIGAMMA_SERIES and c > 0, from the
+    asymptotic series D = digamma(a) - log a = -1/(2a) + r, with
+    r = -sum B_2k / (2k a^2k) through a^-10.
+
+    Far from c = a the sum log(a / c) + D does not cancel. Where c / 2 <= a
+    <= 2c it is log1p((e^digamma(a) - c) / c), and e^digamma(a) - c =
+    (a - c - 1/2) + a (e^D - 1 - D) + a r, whose first term is exact wherever
+    it is below 1; so next to the root, near c = a - 1/2 + 1/(24a), the error
+    is a rounding of a (e^D - 1 - D) + a r, about 1/(24a), not of log c.
+    """
+    a2 = a * a
+    r = -(1 / 12 - (1 / 120 - (1 / 252 - (1 / 240 - 1 / (132 * a2)) / a2) / a2) / a2) / a2
+    d = -0.5 / a + r
+    if not c / 2 <= a <= 2 * c:
+        return _log_ratio(a, c) + d
+    return math.log1p(((a - c) - 0.5 + (_expm1_minus(d, a) + a * r)) / c)
 
 
 # The tanh-sinh rule of Takahasi & Mori, "Double exponential formulas for
@@ -844,7 +857,7 @@ class Gamma(ScalarLaw):
     def log_abs_mean(self):
         if self.shape < _DIGAMMA_SERIES:
             return float(special.digamma(self.shape)) - math.log(self.rate)
-        return _log_ratio(self.shape, self.rate) + _digamma_minus_log(self.shape)
+        return _digamma_minus_log_of(self.shape, self.rate)
 
     def log_plus_abs_moment(self):
         # log X = T - c for T = log(G / shape): E (T - c) over T > c
@@ -1134,7 +1147,7 @@ class InverseGamma(ScalarLaw):
     def log_abs_mean(self):
         if self.shape < _DIGAMMA_SERIES:
             return math.log(self.scale) - float(special.digamma(self.shape))
-        return _log_ratio(self.scale, self.shape) - _digamma_minus_log(self.shape)
+        return -_digamma_minus_log_of(self.shape, self.scale)
 
     def log_plus_abs_moment(self):
         # log X = c - T for T = log(G / shape): E (c - T) over T < c

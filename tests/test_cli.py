@@ -323,6 +323,19 @@ def test_analyze_gamma_laws_near_one_converge(law, tmp_path, capsys):
     assert report["existence"]["verdict"] == "converges-a.s."
 
 
+# at shape 1e15 the root of E log M is rate = 1e15 - 0.5 + 4e-17: gamma just
+# below it has E log M = +4.2e-32, inverse_gamma at that scale -4.2e-32
+@pytest.mark.parametrize("law, verdict", [
+    ({"family": "gamma", "params": {"shape": 1e15, "rate": 1e15 - 0.5}},
+     "diverges-in-probability"),
+    ({"family": "inverse_gamma", "params": {"shape": 1e15, "scale": 1e15 - 0.5}},
+     "converges-a.s."),
+], ids=["gamma", "inverse_gamma"])
+def test_analyze_gamma_laws_at_the_root(law, verdict, tmp_path, capsys):
+    report = _analyze_clean(tmp_path, capsys, {"coupling": "independent", "M": law, "Q": EXP_ONE})
+    assert report["existence"]["verdict"] == verdict
+
+
 def _fail_draw_of_stream(monkeypatch, stream_id):
     """Make the M draw of one stream of a beta x exponential batch raise."""
     draw = laws.Beta._draw

@@ -640,6 +640,20 @@ def test_gamma_log_means_match_mpmath(a, ratio):
     assert InverseGamma(a, c).log_abs_mean() == pytest.approx(-want, rel=1e-13, abs=0.0)
 
 
+# near its root c = e^digamma(a), about a - 1/2 + 1/(24a), the sum
+# log(a / c) + digamma(a) - log a cancels down to a few ulps of its terms:
+# at a = 1e15, c = a - 0.5 it is +4.2e-32, and rounding a / c gave -5.6e-17
+@pytest.mark.parametrize("a, c", [(30.0, 29.5), (1e4, 1e4 - 0.5), (1e8, 1e8 - 0.5),
+                                  (1e15, 1e15 - 0.5), (1e15, 1e15 - 0.375),
+                                  (1e15, 1e15 - 0.625), (4e15, 4e15 - 0.5)])
+def test_gamma_log_means_near_their_root_match_mpmath(a, c):
+    # 30 digits beyond those that digamma(a), log(c) and a / c - 1 share
+    with mpmath.workdps(30 + 2 * int(math.log10(a))):
+        want = float(mpmath.digamma(mpmath.mpf(a)) - mpmath.log(mpmath.mpf(c)))
+    assert Gamma(a, c).log_abs_mean() == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert InverseGamma(a, c).log_abs_mean() == pytest.approx(-want, rel=1e-13, abs=0.0)
+
+
 # below the large-a expansion, digamma(a) - digamma(a + b) cancelled once
 # b << a: Beta(19, 1e-300) gave E log M = 0 and Beta(19, 1e-10) was off by 6e-6
 @pytest.mark.parametrize("a, b", [(a, a * f) for a in (1e-300, 1e-5, 0.5, 1.0, 19.0, 9999.0)
