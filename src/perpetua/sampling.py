@@ -25,11 +25,13 @@ one the plain per-draw, block-at-a-time loop produces, bit for bit; k only
 changes how fast that happens.
 
 The empirical characteristic function is one kernel too, ``_cf_parts``.  On
-an arithmetic t-grid it rotates: e^{i(t+h)x} = e^{itx} e^{ihx}, one complex
-multiply per (t, x) product, with a direct cos/sin anchor every 64 grid
-points so that rounding drift stays within about eps * (64 + max|t x|) of
-direct evaluation.  Its working memory is about 24 bytes times
-max(2^19, n) for n samples, whatever the grid size.
+an arithmetic t-grid t = t0 + (kS + j)h it splits e^{itx} into
+e^{i(t0 + kSh)x} e^{ijhx} and sums, over tiles of _CF_TILE samples, one
+complex matrix product of an anchor block (rows k) with a step block (rows
+j), both built by rotation from one direct cos/sin row.  Each value stays
+within about 2^-52 (|t x| + 128) of direct evaluation, and the working
+memory is two tile-wide blocks of at most 64 rows, about 4 MB
+whatever n and the grid size.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ _WAVE = 2 ** 14                      # elements in one working array of a wavefr
 _MAX_ROWS = _WAVE // _BLOCK
 _WAVE_QUANTILE = 0.95                # rows cover this share of the term counts seen
 _FIRST_WAVE = 32                     # draws before the first term counts are known
-_CF_SPACING = 64                     # grid points per directly evaluated anchor
-_CF_ELEMENTS = 2 ** 19               # complex values in the CF working array
+_CF_SPACING = 64                     # most grid points per anchor, and anchors per block
+_CF_TILE = 2 ** 11                   # samples in one CF matrix product
 
 _SUMMARY_PERCENTILES = (1, 5, 25, 50, 75, 95, 99)
 
@@ -396,53 +398,65 @@ def _cf_parts(x: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the empirical CF of ``x`` at each t in ``ts``.
 
     On an arithmetic grid (``ts == ts[0] + arange(T) * h`` exactly, which
-    every ``np.arange`` grid satisfies) every _CF_SPACING-th point is an
-    anchor, where e^{itx} is evaluated by cos and sin; each point after an
-    anchor takes one complex multiply by the step e^{ihx}, since
-    e^{i(t+h)x} = e^{itx} e^{ihx}.  Any other grid, or a single t, has
-    spacing 1: every point is an anchor.  The rounding of at most
-    _CF_SPACING - 1 multiplies keeps each term within about
-    eps * (_CF_SPACING + max|t x|) of direct evaluation (eps = 2^-52); on
-    the battery's grids at n = 10^5 the CF differs by at most 4e-16.
-    Anchor rows run together in one complex working array of about
-    _CF_ELEMENTS values (at least one row of len(x)), so memory stays near
-    24 * max(_CF_ELEMENTS, len(x)) bytes, plus the step vector, whatever the
-    grid size.  Non-finite samples give NaN at every t, as direct
-    evaluation does.
+    every ``np.arange`` grid satisfies) with spacing S, the largest power of
+    two up to _CF_SPACING with S^2 <= T, point kS + j of the grid has
+    e^{itx} = e^{i t_{kS} x} e^{ijhx}.  For each tile of _CF_TILE samples the
+    step block holds e^{ijhx} for j < S, made by rotation with e^{ihx}, and
+    each anchor block holds e^{i t_{kS} x} for at most _CF_SPACING anchors,
+    the first by cos and sin and the others by rotation with e^{iShx}; one
+    complex matrix product of the two adds the tile to S grid points per
+    anchor.  Any other grid, or a single t, has S = 1: every point is a
+    direct anchor and the step block is one row of ones.  At most
+    S + _CF_SPACING - 2 rotations and the rounding of t x keep each term
+    within about eps * (|t x| + 128) of direct evaluation (eps = 2^-52).
+    Working memory is the two blocks, at most 2 * _CF_SPACING * _CF_TILE
+    complex values (4 MB), whatever len(x) and the grid size.  Any
+    non-finite sample gives NaN at every t, as direct evaluation does.
     """
     n, size = x.size, ts.size
+    # min and max see NaN and +-inf without a temporary as long as x
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        return np.full(size, np.nan), np.full(size, np.nan)
     h = ts[1] - ts[0] if size > 1 else 0.0
-    arithmetic = size > 1 and np.array_equal(ts, ts[0] + np.arange(size) * h)
-    spacing = _CF_SPACING if arithmetic else 1
-    if spacing > 1:
-        step = np.empty(n, dtype=complex)
-        np.cos(h * x, out=step.real)
-        np.sin(h * x, out=step.imag)
-    anchors = np.arange(0, size, spacing)
-    rows = max(1, _CF_ELEMENTS // n)
-    work = np.empty((min(rows, anchors.size), n), dtype=complex)
-    sums = np.empty(size, dtype=complex)
-    for a in range(0, anchors.size, rows):
-        at = anchors[a : a + rows]
-        cur = work[: at.size]
-        tx = np.multiply.outer(ts[at], x)
-        np.cos(tx, out=cur.real)
-        np.sin(tx, out=cur.imag)
-        del tx
-        for j in range(spacing):
-            # rows still inside the grid; only its last anchor can run out
-            live = np.count_nonzero(at < size - j)
-            if not live:
-                break
-            sums[at[:live] + j] = cur[:live].sum(axis=1)
-            if j + 1 < spacing:
-                cur[:live] *= step
-    sums /= n
+    spacing = 1
+    if size > 1 and np.array_equal(ts, ts[0] + np.arange(size) * h):
+        spacing = min(_CF_SPACING, 1 << (size.bit_length() - 1) // 2)
+    anchors = ts[::spacing]
+    width = min(n, _CF_TILE)
+    steps = np.ones((spacing, width), dtype=complex)
+    blocks = np.empty((min(anchors.size, _CF_SPACING), width), dtype=complex)
+    jumps = np.empty(width, dtype=complex)
+    sums = np.zeros((anchors.size, spacing), dtype=complex)
+    for lo in range(0, n, _CF_TILE):
+        xs = x[lo : lo + _CF_TILE]
+        step, block, jump = steps[:, : xs.size], blocks[:, : xs.size], jumps[: xs.size]
+        if spacing > 1:
+            np.cos(h * xs, out=step[1].real)
+            np.sin(h * xs, out=step[1].imag)
+            np.cos(spacing * h * xs, out=jump.real)
+            np.sin(spacing * h * xs, out=jump.imag)
+            for j in range(2, spacing):
+                np.multiply(step[j - 1], step[1], out=step[j])
+        for k in range(0, anchors.size, _CF_SPACING):
+            at = anchors[k : k + _CF_SPACING]
+            rows = block[: at.size]
+            # the block's first anchor is direct, or all of them when S = 1
+            tx = np.multiply.outer(at[:1] if spacing > 1 else at, xs)
+            np.cos(tx, out=rows[: len(tx)].real)
+            np.sin(tx, out=rows[: len(tx)].imag)
+            for r in range(len(tx), at.size):
+                np.multiply(rows[r - 1], jump, out=rows[r])
+            sums[k : k + at.size] += rows @ step.T
+    sums = sums.ravel()[:size] / n
     return sums.real, sums.imag
 
 
 def empirical_cf(emp: EmpiricalDistribution, t: float) -> tuple[float, float]:
-    """Empirical characteristic function at t: ((1/n) sum cos, (1/n) sum sin)."""
+    """Empirical characteristic function at t: ((1/n) sum cos, (1/n) sum sin).
+
+    Kept as the public one-t form of the CF (``cf_modulus_grid`` gives only
+    the modulus); it is the kernel's single-t path, with no code of its own.
+    """
     emp._require_nonempty()
     re, im = _cf_parts(emp.samples, np.array([float(t)]))
     return float(re[0]), float(im[0])
@@ -451,12 +465,13 @@ def empirical_cf(emp: EmpiricalDistribution, t: float) -> tuple[float, float]:
 def cf_modulus_grid(emp: EmpiricalDistribution, ts: np.ndarray) -> np.ndarray:
     """|empirical CF| on a grid of t values.
 
-    An arithmetic grid (any ``np.arange`` grid) costs one complex multiply
-    per (t, x) product, with a direct cos/sin anchor every _CF_SPACING (64)
-    points; other grids are evaluated directly.  The result is within about
-    eps * (64 + max|t x|) of direct evaluation, and working memory is about
-    24 * max(2^19, len(samples)) bytes whatever the grid size (see
-    ``_cf_parts``).
+    An arithmetic grid (any ``np.arange`` grid) is summed as blocked complex
+    matrix products, one multiply-add per (t, x) product, with cos and sin
+    evaluated for one grid point in every block of up to 64 x 64; other
+    grids are evaluated directly.
+    The result is within about eps * (|t x| + 128) of direct evaluation, and
+    working memory is about 4 MB whatever len(samples) and the grid size
+    (see ``_cf_parts``).
     """
     emp._require_nonempty()
     return np.hypot(*_cf_parts(emp.samples, np.asarray(ts, dtype=float)))

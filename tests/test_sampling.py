@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from perpetua.errors import (NonConvergentError, PerpetuaError,
                              PreconditionError)
 from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
                            Independent, PointMass, UniformContinuous)
-from perpetua.sampling import (_CF_SPACING, EmpiricalDistribution,
+from perpetua.sampling import (_CF_SPACING, _CF_TILE, EmpiricalDistribution,
                                PerpetuityConfig, _batch_chunk, _cf_parts,
                                atom_scan, cf_modulus_grid, empirical_cf,
                                empirical_moment, fixed_point_residual,
@@ -274,18 +275,33 @@ def test_cf_rotation_matches_direct_on_battery_grids():
         assert _cf_deviation(x, ts) <= 1e-12
 
 
-@pytest.mark.parametrize("ts", [
-    np.linspace(-3.0, 7.0, 250),
-    np.geomspace(0.1, 100.0, 300),                 # not arithmetic
-    np.arange(-50.0, 50.0, 0.25),                  # crosses t = 0
-    np.arange(40.0, -40.0, -0.5),                  # descending
-    np.arange(0.3, 0.3 + 0.1 * (3 * _CF_SPACING + 5), 0.1)[: 3 * _CF_SPACING + 5],
-    np.arange(1.0, 1.0 + _CF_SPACING + 1),         # one point past an anchor
-    np.array([1.7]),
-    np.array([-2.5]),
+def _normal(n):
+    return np.random.default_rng(1).standard_normal(n)
+
+
+@pytest.mark.parametrize("ts, x", [
+    *(pytest.param(ts, _normal(3000), id=f"ts{i}") for i, ts in enumerate([
+        np.linspace(-3.0, 7.0, 250),
+        np.geomspace(0.1, 100.0, 300),                 # not arithmetic
+        np.arange(-50.0, 50.0, 0.25),                  # crosses t = 0
+        np.arange(40.0, -40.0, -0.5),                  # descending
+        np.arange(0.3, 0.3 + 0.1 * (3 * _CF_SPACING + 5), 0.1)[: 3 * _CF_SPACING + 5],
+        np.arange(1.0, 1.0 + _CF_SPACING + 1),         # one point past an anchor
+        np.array([1.7]),
+        np.array([-2.5]),
+    ])),
+    # the kernel's seams: a last tile of one sample, a second block of
+    # anchors that ends part-way through its last anchor's points, and
+    # coherent phases, whose sums grow with n in the matrix products
+    pytest.param(np.arange(0.5, 40.0, 0.25), _normal(5 * _CF_TILE + 1),
+                 id="tile-remainder"),
+    pytest.param(np.arange(-20.0, 25.0, 0.01)[: _CF_SPACING ** 2 + 5 * _CF_SPACING + 7],
+                 _normal(3000), id="partial-block"),
+    pytest.param(np.arange(0.0, 3.0, 0.01),
+                 np.random.default_rng(5).uniform(0.0, 1.0, 2 * 10 ** 5 + 3),
+                 id="coherent-phases"),
 ])
-def test_cf_rotation_matches_direct_on_other_grids(ts):
-    x = np.random.default_rng(1).standard_normal(3000)
+def test_cf_rotation_matches_direct_on_other_grids(ts, x):
     _assert_cf_near_direct(x, ts)
 
 
@@ -311,13 +327,27 @@ def test_cf_at_zero_is_one():
 
 
 def test_cf_of_infinite_samples_is_nan_where_direct_is():
-    x = np.array([0.5, 1.0, np.inf, -2.0, -np.inf])
-    for ts in (np.arange(0.0, 30.0, 0.25), np.array([0.0]), np.array([2.0])):
-        with np.errstate(invalid="ignore"):
-            re, im = _cf_parts(x, ts)
-        want_re, want_im = _cf_direct(x, ts)
-        np.testing.assert_array_equal(np.isnan(re), np.isnan(want_re))
-        np.testing.assert_array_equal(np.isnan(im), np.isnan(want_im))
+    for x in (np.array([0.5, 1.0, np.inf, -2.0, -np.inf]), np.array([0.5, np.nan, -2.0])):
+        for ts in (np.arange(0.0, 30.0, 0.25), np.array([0.0]), np.array([2.0])):
+            with np.errstate(invalid="ignore"):
+                re, im = _cf_parts(x, ts)
+            want_re, want_im = _cf_direct(x, ts)
+            np.testing.assert_array_equal(np.isnan(re), np.isnan(want_re))
+            np.testing.assert_array_equal(np.isnan(im), np.isnan(want_im))
+
+
+def test_cf_working_memory_does_not_grow_with_n():
+    # the battery's t <= 300 grid at n = 10^6: two blocks of at most 64 rows
+    # of _CF_TILE complex values are 4 MB, one complex row of all n is 16 MB
+    x = np.random.default_rng(6).uniform(-2.0, 2.0, 10 ** 6)
+    ts = np.arange(2.0, 300.0 + 0.125, 0.25)
+    tracemalloc.start()
+    try:
+        _cf_parts(x, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_empirical_moment():
