@@ -18,9 +18,8 @@ from .laws import (FAMILIES, Beta, Exponential, FiniteDiscrete, FiniteJoint,
                    UniformDiscreteRange, Weibull, event_prob, joint_from_json,
                    joint_to_json, law_from_json, law_to_json)
 from .moments import (REGIME_BOUNDARY, REGIME_CONTRACTING, REGIME_EXPANDING,
-                      AbscissaResult, ExpFeasibility, MomentReport,
-                      cauchy_hadamard_estimate, classify_regime,
-                      exp_feasible_at, exp_perpetuity_moment,
+                      AbscissaResult, MomentReport, cauchy_hadamard_estimate,
+                      classify_regime, exp_perpetuity_moment,
                       p_moment_criterion, r_of_perpetuity, zstar_bound)
 from .oracles import (OracleSpec, PurityProbe, bernoulli_convolution_cf,
                       oracle_gamma_sizebias, oracle_geometric,
@@ -54,9 +53,9 @@ __all__ = [
     "sample_perpetuity", "sample_batch", "fixed_point_residual", "ks_distance",
     "two_sample_ks", "empirical_cf", "cf_modulus_grid", "empirical_moment",
     "atom_scan", "to_csv", "DEFAULT_EPSILON", "DEFAULT_MAX_TERMS",
-    "MomentReport", "ExpFeasibility", "AbscissaResult", "classify_regime",
-    "p_moment_criterion", "zstar_bound", "exp_feasible_at",
-    "r_of_perpetuity", "exp_perpetuity_moment",
+    "MomentReport", "AbscissaResult", "classify_regime",
+    "p_moment_criterion", "zstar_bound", "r_of_perpetuity",
+    "exp_perpetuity_moment",
     "cauchy_hadamard_estimate", "REGIME_CONTRACTING", "REGIME_BOUNDARY",
     "REGIME_EXPANDING",
     "OracleSpec", "PurityProbe", "oracle_geometric", "oracle_uniform_digits",

@@ -847,9 +847,13 @@ class Gamma(ScalarLaw):
         return math.exp(special.gammaln(a + p) - special.gammaln(a) - p * math.log(r))
 
     def exp_moment(self, s, of_abs=False):
-        if s >= self.rate:
+        r = self.rate
+        if s >= r:
             return math.inf
-        return _exp(self.shape * math.log(self.rate / (self.rate - s)))
+        # r / (r - s) rounds away the low digits of s / r, which the shape
+        # multiplies back up; log1p keeps them
+        log_ratio = -math.log1p(-s / r) if abs(s) < r / 2 else math.log(r / (r - s))
+        return _exp(self.shape * log_ratio)
 
     def exp_abscissa(self):
         return self.rate

@@ -67,28 +67,6 @@ class MomentReport:
 
 
 @dataclass(frozen=True)
-class ExpFeasibility:
-    feasible: bool
-    regime: str
-    a_minus: float
-    a_plus: float
-    b_minus: float
-    b_plus: float
-    q_exp_abs: float
-
-    def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "regime": self.regime,
-            "a_minus": _ext(self.a_minus),
-            "a_plus": _ext(self.a_plus),
-            "b_minus": _ext(self.b_minus),
-            "b_plus": _ext(self.b_plus),
-            "q_exp_abs": _ext(self.q_exp_abs),
-        }
-
-
-@dataclass(frozen=True)
 class AbscissaResult:
     regime: str
     r_q: float
@@ -201,24 +179,6 @@ def _boundary_feasible(a_minus, a_plus, b_minus, b_plus) -> bool:
     lhs = b_minus * b_plus
     rhs = (1.0 - a_minus) * (1.0 - a_plus)
     return bool(lhs < rhs)  # NaN (0 * inf) compares False, which is correct
-
-
-def exp_feasible_at(joint: JointLaw, s: float) -> ExpFeasibility:
-    """Whether E e^{s|Z|} < inf at a given s > 0, with the decision terms."""
-    if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
-        raise PreconditionError(f"s must be a finite real > 0, got {s!r}")
-    _require_nondegenerate(joint, "exp_feasible_at")
-    regime = classify_regime(joint)
-    q_exp = joint.marginal_q().exp_moment(s, of_abs=True)
-    a_minus, a_plus, b_minus, b_plus = _boundary_terms(joint, s)
-    if regime == REGIME_CONTRACTING:
-        feasible = math.isfinite(q_exp)
-    elif regime == REGIME_BOUNDARY:
-        feasible = math.isfinite(q_exp) and _boundary_feasible(
-            a_minus, a_plus, b_minus, b_plus)
-    else:
-        feasible = False
-    return ExpFeasibility(feasible, regime, a_minus, a_plus, b_minus, b_plus, q_exp)
 
 
 def _r_star_search(joint: JointLaw) -> tuple[float, tuple]:

@@ -17,12 +17,16 @@ A chunk is a wavefront: every draw of a sub-chunk draws its first k
 rows from its own re-keyed streams in one ``draw_rows`` call per
 sub-chunk, which makes one generator call per stream key (see
 ``streams.LanePool``) and the sampler's elementwise work once on all rows;
-one kernel call covers them all, and draws still running re-draw those rows
-and go on alone in super-blocks of doubling size (``_draw_one``, which is
-also the single-draw path).  Since numpy's samplers give the same values
-whether a stream is read in one block or several, every sample equals the
-one the plain per-draw, block-at-a-time loop produces, bit for bit; k only
-changes how fast that happens.
+one kernel call covers them all.  Draws still running after those rows
+start again from their first pair in ``_paths``, which runs any number of
+paths together in super-blocks of doubling size, one ``draw_pairs`` call
+per path and one kernel call per stage; a draw whose k would pass
+_MAX_ROWS runs there from its first pair, and ``sample_perpetuity`` is
+``_paths`` on one stream.  Since numpy's samplers give the same values
+whether a stream is read in one block or several, and the kernel gives each
+row the same bytes however a path's rows are grouped into calls, every
+sample equals the one the plain per-draw, block-at-a-time loop produces,
+bit for bit; k only changes how fast that happens.
 
 The empirical characteristic function is one kernel too, ``_cf_parts``.  On
 an arithmetic t-grid t = t0 + (kS + j)h it splits e^{itx} into
@@ -54,6 +58,10 @@ DEFAULT_MAX_TERMS = 10 ** 6
 _BLOCK = 48
 _WAVE = 2 ** 14                      # elements in one working array of a wavefront
 _MAX_ROWS = _WAVE // _BLOCK
+# elements in one working array of a continuation stage: on a 2-core Xeon,
+# 32 paths of 10^4 or more terms ran about as fast at 4 _WAVE as with no
+# bound (which peaked at 17 MB), and 1.1-1.8x slower at _WAVE
+_STAGE = 4 * _WAVE
 _WAVE_QUANTILE = 0.95                # rows cover this share of the term counts seen
 _FIRST_WAVE = 32                     # draws before the first term counts are known
 _CF_SPACING = 64                     # most grid points per anchor, and anchors per block
@@ -220,34 +228,6 @@ def _accumulate(ms: np.ndarray, qs: np.ndarray, epsilon: float, pi: np.ndarray,
     return stop, value, truncated, exhausted, pis[:, -1], totals[:, -1]
 
 
-def _draw_one(joint: JointLaw, epsilon: float, max_terms: int, stream: RandomStream,
-              rows: int = 1, skip: int = 0, pi: float = 1.0,
-              total: float = 0.0) -> SampleOutcome:
-    """Accumulate the series along one path in super-blocks of doubling size.
-
-    The first super-block has ``rows`` rows of _BLOCK pairs (at most
-    _MAX_ROWS, like every later one).  A path that has
-    already run ``skip`` full rows elsewhere, ending with product ``pi`` and
-    partial sum ``total``, re-draws those rows' pairs and discards them.
-    """
-    if skip:
-        joint.draw_pairs(stream, skip * _BLOCK)
-    done = skip * _BLOCK
-    carry = np.array([pi]), np.array([total])
-    while True:
-        size = min(rows * _BLOCK, max_terms - done)
-        ms, qs = _rows(*joint.draw_pairs(stream, size))
-        end = (size - 1) % _BLOCK if done + size == max_terms else None
-        stop, value, truncated, exhausted, *carry = _accumulate(
-            ms[None], qs[None], epsilon, *carry, end)
-        if stop[0] >= 0:
-            return SampleOutcome(float(value[0]), done + int(stop[0]) + 1,
-                                 truncated=bool(truncated[0]),
-                                 exhausted=bool(exhausted[0]))
-        done += size
-        rows = min(2 * rows, _MAX_ROWS)
-
-
 def _rows(ms: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs as rows of _BLOCK, the last row padded with M = 1, Q = 0."""
     width = -(-ms.shape[-1] // _BLOCK) * _BLOCK
@@ -266,10 +246,55 @@ def _check_sampleable(joint: JointLaw) -> None:
             f"cannot sample a perpetuity with existence verdict {verdict!r}")
 
 
+def _paths(joint: JointLaw, epsilon: float, max_terms: int, streams: list[RandomStream],
+           rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run one path per stream from its first pair, all paths together.
+
+    Each stage draws the next super-block of every live path with one
+    ``joint.draw_pairs(stream, size)`` call per path and runs the stage through
+    one ``_accumulate`` call; stopped paths leave.  The first super-block has
+    ``rows`` rows of _BLOCK pairs and each later one twice the last, up to
+    _MAX_ROWS; no stage's working arrays exceed _STAGE elements, so L live
+    paths take at most _STAGE / (_BLOCK L) rows each.  Returns (value, terms,
+    truncated, exhausted) per stream; a draw that fails raises ``DrawError``
+    naming its stream id.
+    """
+    n = len(streams)
+    value, terms = np.empty(n), np.empty(n, dtype=np.int64)
+    truncated, exhausted = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    live, pi, total = np.arange(n), np.ones(n), np.zeros(n)
+    done = 0
+    while live.size:
+        rows = min(rows, _MAX_ROWS, max(1, _STAGE // (_BLOCK * live.size)))
+        size = min(rows * _BLOCK, max_terms - done)
+        # the last row of the last super-block is padded with M = 1, Q = 0
+        ms = np.ones((live.size, -(-size // _BLOCK), _BLOCK))
+        qs = np.zeros_like(ms)
+        flat_ms, flat_qs = ms.reshape(live.size, -1), qs.reshape(live.size, -1)
+        for j, k in enumerate(live):
+            try:
+                flat_ms[j, :size], flat_qs[j, :size] = joint.draw_pairs(streams[k], size)
+            except Exception as exc:
+                raise DrawError(streams[k].stream_id, exc) from exc
+        end = (size - 1) % _BLOCK if done + size == max_terms else None
+        stop, v, trunc, exh, pi, total = _accumulate(ms, qs, epsilon, pi, total, end)
+        out = stop >= 0
+        at = live[out]
+        value[at], terms[at] = v[out], done + stop[out] + 1
+        truncated[at], exhausted[at] = trunc[out], exh[out]
+        live, pi, total = live[~out], pi[~out], total[~out]
+        done += size
+        rows *= 2
+    return value, terms, truncated, exhausted
+
+
 def sample_perpetuity(config: PerpetuityConfig, stream: RandomStream) -> SampleOutcome:
     """One draw of the perpetuity along the path given by ``stream``."""
     _check_sampleable(config.joint)
-    return _draw_one(config.joint, config.epsilon, config.max_terms, stream)
+    value, terms, truncated, exhausted = _paths(
+        config.joint, config.epsilon, config.max_terms, [stream], 1)
+    return SampleOutcome(float(value[0]), int(terms[0]), truncated=bool(truncated[0]),
+                         exhausted=bool(exhausted[0]))
 
 
 def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
@@ -277,8 +302,10 @@ def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
 
     A sub-chunk draws the first ``rows`` rows of pairs of all its draws with
     one ``draw_rows`` call and runs them through one ``_accumulate`` call;
-    draws still running after them continue alone.  ``rows`` for the next
-    sub-chunk comes from the term counts just seen.
+    draws still running after them start again from their first pair in
+    ``_paths``, together, with twice as many rows.  ``rows`` for the next
+    sub-chunk comes from the term counts just seen; past _MAX_ROWS a
+    sub-chunk is one draw, and it runs in ``_paths`` from the start.
     """
     joint, epsilon, max_terms = config.joint, config.epsilon, config.max_terms
     values = np.empty(len(ids))
@@ -288,25 +315,26 @@ def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
     rows = 1
     pos = 0
     while pos < len(ids):
-        rows = min(rows, _MAX_ROWS, -(-max_terms // _BLOCK))
-        size = min(rows * _BLOCK, max_terms)
-        width = min(len(ids) - pos, _WAVE // (rows * _BLOCK), max(pos, _FIRST_WAVE))
+        rows = min(rows, -(-max_terms // _BLOCK))
+        width = min(len(ids) - pos, max(1, _WAVE // (rows * _BLOCK)), max(pos, _FIRST_WAVE))
         wave = ids[pos : pos + width]
-        ms, qs = _rows(*joint.draw_rows(config.seed, wave, size, pool))
-        end = (size - 1) % _BLOCK if size == max_terms else None
-        stop, value, trunc, exh, pi, total = _accumulate(
-            ms, qs, epsilon, np.ones(width), np.zeros(width), end)
-        del ms, qs  # freed before the draws still running allocate their own
-        terms = stop + 1
-        for k in np.flatnonzero(stop < 0):
-            i = wave[k]
-            try:
-                out = _draw_one(joint, epsilon, max_terms, RandomStream(config.seed, i, pool),
-                                rows=rows, skip=rows, pi=float(pi[k]), total=float(total[k]))
-            except Exception as exc:
-                raise DrawError(i, exc) from exc
-            value[k], trunc[k], exh[k], terms[k] = (out.value, out.truncated,
-                                                    out.exhausted, out.terms)
+        if rows > _MAX_ROWS:
+            # one draw would fill a wave, and over 5% of draws outrun that:
+            # run it as a path from its first pair, with no wave to restart
+            value, terms, trunc, exh = _paths(
+                joint, epsilon, max_terms, [RandomStream(config.seed, i) for i in wave], rows)
+        else:
+            size = min(rows * _BLOCK, max_terms)
+            ms, qs = _rows(*joint.draw_rows(config.seed, wave, size, pool))
+            end = (size - 1) % _BLOCK if size == max_terms else None
+            stop, value, trunc, exh, *_ = _accumulate(
+                ms, qs, epsilon, np.ones(width), np.zeros(width), end)
+            del ms, qs  # freed before the draws still running allocate their own
+            terms = stop + 1
+            running = np.flatnonzero(stop < 0)
+            streams = [RandomStream(config.seed, wave[k]) for k in running]
+            value[running], terms[running], trunc[running], exh[running] = _paths(
+                joint, epsilon, max_terms, streams, 2 * rows)
         values[pos : pos + width] = value
         truncated += int(trunc.sum())
         exhausted += int(exh.sum())

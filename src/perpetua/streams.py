@@ -12,12 +12,14 @@ a small number of lanes (sub-streams) so that, for example, the two marginals
 of an independent pair can consume randomness without interleaving.
 
 Building a keyed ``Philox`` costs far more than drawing a block from it, so a
-batch that visits many streams one after another shares a ``LanePool``: one
-generator per lane whose state is reset to the stream's key, counter 0 and an
-empty buffer.  That is the state a freshly keyed generator starts in, so the
-draws are the same bytes either way.  ``LanePool.rekeyed`` walks a lane over a
-whole wave of stream ids: the seed word of the key is set once, and each id
-costs one state assignment before its draw.
+batch draws the first rows of a whole wave of streams through a ``LanePool``:
+one generator per lane whose state is reset to each stream's key, counter 0
+and an empty buffer.  That is the state a freshly keyed generator starts in,
+so the draws are the same bytes either way.  ``LanePool.rekeyed`` walks a lane
+over the wave's stream ids: the seed word of the key is set once, and each id
+costs one state assignment before its draw.  Draws that outrun a wave's
+rows, and draws outside a batch, use a ``RandomStream`` each, with
+generators of their own.
 """
 
 from __future__ import annotations
@@ -58,11 +60,9 @@ def derive_seed(seed: int, tag: int) -> int:
 
 
 class LanePool:
-    """One reusable Philox generator per lane, re-keyed for each stream.
+    """One reusable Philox generator per lane, re-keyed for each stream of a wave.
 
-    A pooled stream's generators stay valid until another stream of the same
-    pool asks for the same lane, so finish with a stream before starting the
-    next.
+    A joint law's ``draw_rows`` draws a batch wave's first rows through it.
     """
 
     def __init__(self):
@@ -94,13 +94,13 @@ class RandomStream:
     """Addressable source of randomness; a value type keyed by (seed, stream_id).
 
     ``stream_id`` is typically the index of a sample within a batch.  Ids
-    below 2**62 are guaranteed collision-free across lanes.  With a ``pool``
-    the stream re-keys the pool's generators instead of building its own.
+    below 2**62 are guaranteed collision-free across lanes.  Each lane's
+    generator is keyed on first use and kept, so the stream reads on where
+    its last draw stopped.
     """
 
     seed: int
     stream_id: int = 0
-    pool: LanePool | None = field(default=None, repr=False, compare=False)
     _gens: dict = field(default_factory=dict, repr=False, compare=False)
 
     def generator(self, lane: int = LANE_MAIN) -> Generator:
@@ -109,10 +109,7 @@ class RandomStream:
         if gen is None:
             if not 0 <= lane < _N_LANES:
                 raise ValueError(f"lane must be in [0, {_N_LANES}), got {lane}")
-            if self.pool is None:
-                key = (self.seed & _MASK64, (self.stream_id * _N_LANES + lane) & _MASK64)
-                gen = Generator(Philox(key=np.array(key, dtype=np.uint64)))
-            else:
-                gen = next(self.pool.rekeyed(lane, self.seed, (self.stream_id,)))
+            key = (self.seed & _MASK64, (self.stream_id * _N_LANES + lane) & _MASK64)
+            gen = Generator(Philox(key=np.array(key, dtype=np.uint64)))
             self._gens[lane] = gen
         return gen

@@ -143,6 +143,20 @@ def test_exp_moment_closed_forms():
         (math.exp(2.0) - 1.0) / 2.0)
 
 
+# rate / (rate - s) rounds away the low digits of s / rate, which a large
+# shape multiplies back up: the old form was 4.1e-8 off at (1e11, 1e11, 0.5)
+@pytest.mark.parametrize("shape, rate", [(0.5, 0.5), (1.0, 1.0), (4.0, 3.0), (2.0, 5.0),
+                                         (1e11, 1e11), (3.0, 1e15), (1e15, 1e15)])
+def test_gamma_exp_moment_matches_mpmath(shape, rate):
+    law = Gamma(shape, rate)
+    for s in (-2.0 * rate, -2.0, -0.5, -1e-3, 1e-3, 0.1, 0.5, 0.4 * rate, 0.9 * rate):
+        if s >= rate:
+            continue
+        with mpmath.workdps(40):
+            want = float((mpmath.mpf(rate) / (mpmath.mpf(rate) - mpmath.mpf(s))) ** shape)
+        assert law.exp_moment(s) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 # Weibull shape 1 is Exp(1 / scale), and 1 / scale overflows below about
 # 5.6e-309: E e^{sX} = 1 / (1 - s scale) needs no rate
 @pytest.mark.parametrize("scale", [5e-324, 1e-310, 5.5e-309, 0.2, 1e300])

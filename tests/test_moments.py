@@ -10,10 +10,10 @@ from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
                            Gamma, Independent, PointMass, SignedRademacher,
                            UniformContinuous, Weibull)
 from perpetua.moments import (REGIME_BOUNDARY, REGIME_CONTRACTING,
-                              REGIME_EXPANDING, cauchy_hadamard_estimate,
-                              classify_regime, exp_feasible_at,
-                              exp_perpetuity_moment, p_moment_criterion,
-                              r_of_perpetuity, zstar_bound)
+                              REGIME_EXPANDING, _boundary_feasible,
+                              _boundary_terms, cauchy_hadamard_estimate,
+                              classify_regime, exp_perpetuity_moment,
+                              p_moment_criterion, r_of_perpetuity, zstar_bound)
 
 BOUNDARY = Independent(FiniteDiscrete((1.0, 0.5), (0.5, 0.5)), Exponential(2.0))
 # probabilities that sum to 0.9999999999999999, one ulp below 1
@@ -134,35 +134,29 @@ def test_classify_regime_three_ways():
 
 def test_exp_feasible_at_boundary_example():
     # P{M=1} = 1/2, Q ~ Exp(2): a_+(s) = s-dependent, threshold at s = 1
-    f = exp_feasible_at(BOUNDARY, 0.5)
-    assert f.feasible
-    assert f.regime == REGIME_BOUNDARY
-    assert f.a_plus == pytest.approx(0.5 * 2.0 / 1.5)
-    assert f.a_minus == pytest.approx(0.5 * 2.0 / 2.5)
-    assert f.b_plus == 0.0 and f.b_minus == 0.0
-    g = exp_feasible_at(BOUNDARY, 1.2)
-    assert not g.feasible
-    assert g.a_plus >= 1.0
+    assert classify_regime(BOUNDARY) == REGIME_BOUNDARY
+    a_minus, a_plus, b_minus, b_plus = _boundary_terms(BOUNDARY, 0.5)
+    assert _boundary_feasible(a_minus, a_plus, b_minus, b_plus)
+    assert a_plus == pytest.approx(0.5 * 2.0 / 1.5)
+    assert a_minus == pytest.approx(0.5 * 2.0 / 2.5)
+    assert b_plus == 0.0 and b_minus == 0.0
+    terms = _boundary_terms(BOUNDARY, 1.2)
+    assert not _boundary_feasible(*terms)
+    assert terms[1] >= 1.0
 
 
 def test_exp_feasible_expanding_never():
     j = Independent(FiniteDiscrete((2.0, 0.1), (0.2, 0.8)), Exponential(1.0))
-    f = exp_feasible_at(j, 0.1)
-    assert not f.feasible
-    assert f.regime == REGIME_EXPANDING
+    assert classify_regime(j) == REGIME_EXPANDING
+    assert r_of_perpetuity(j).r_z == 0.0
 
 
 def test_exp_feasible_contracting_tracks_q():
     j = Independent(Beta(1.0, 1.0), Exponential(3.0))
-    assert exp_feasible_at(j, 2.0).feasible
-    assert not exp_feasible_at(j, 3.5).feasible
-    assert exp_feasible_at(j, 2.0).q_exp_abs == pytest.approx(3.0)
-
-
-def test_exp_feasibility_json():
-    d = exp_feasible_at(BOUNDARY, 0.5).to_json()
-    assert set(d) == {"feasible", "regime", "a_minus", "a_plus", "b_minus",
-                      "b_plus", "q_exp_abs"}
+    assert classify_regime(j) == REGIME_CONTRACTING
+    res = r_of_perpetuity(j)
+    assert res.r_z == res.r_q == 3.0
+    assert j.marginal_q().exp_moment(2.0, of_abs=True) == pytest.approx(3.0)
 
 
 def test_r_star_boundary_closed_form():
@@ -321,10 +315,9 @@ def test_cauchy_hadamard_validation():
 @settings(max_examples=30, deadline=None)
 def test_feasibility_monotone_in_s(s1, s2):
     lo, hi = sorted((s1, s2))
-    f_lo = exp_feasible_at(BOUNDARY, lo)
-    f_hi = exp_feasible_at(BOUNDARY, hi)
     # the feasible set is an interval containing small s
-    assert f_hi.feasible <= f_lo.feasible
+    assert (_boundary_feasible(*_boundary_terms(BOUNDARY, hi))
+            <= _boundary_feasible(*_boundary_terms(BOUNDARY, lo)))
 
 
 @given(st.floats(min_value=0.05, max_value=0.9),
@@ -334,9 +327,9 @@ def test_row_sum_sufficiency(pa, s):
     # if a_- + b_- < 1 and a_+ + b_+ < 1 then the determinant condition holds
     fj = FiniteJoint(((1.0, 1.0, pa / 2), (-1.0, 1.0, pa / 2),
                       (0.5, 1.0, 1.0 - pa)))
-    f = exp_feasible_at(fj, s)
-    if (f.a_minus + f.b_minus < 1.0) and (f.a_plus + f.b_plus < 1.0):
-        assert f.b_minus * f.b_plus < (1 - f.a_minus) * (1 - f.a_plus)
+    a_minus, a_plus, b_minus, b_plus = _boundary_terms(fj, s)
+    if (a_minus + b_minus < 1.0) and (a_plus + b_plus < 1.0):
+        assert _boundary_feasible(a_minus, a_plus, b_minus, b_plus)
 
 
 @given(st.floats(min_value=0.5, max_value=4.0),

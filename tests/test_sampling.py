@@ -6,11 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from perpetua.errors import (NonConvergentError, PerpetuaError,
-                             PreconditionError)
+from perpetua.errors import DrawError, NonConvergentError, PreconditionError
 from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
                            Independent, PointMass, UniformContinuous)
-from perpetua.sampling import (_CF_SPACING, _CF_TILE, EmpiricalDistribution,
+from perpetua.sampling import (_CF_SPACING, _CF_TILE, _STAGE, EmpiricalDistribution,
                                PerpetuityConfig, _batch_chunk, _cf_parts,
                                atom_scan, cf_modulus_grid, empirical_cf,
                                empirical_moment, fixed_point_residual,
@@ -116,6 +115,49 @@ def test_partial_sums_are_cauchy_for_contracting_config():
                               RandomStream(0, 7)).value for k in (50, 200, 400)}
     assert abs(z[400] - z[200]) < 1e-12
     assert abs(z[400] - z[50]) < 1e-3
+
+
+def test_failed_draw_names_its_stream_id(monkeypatch):
+    def fail(self, gen, size):
+        raise RuntimeError("no draw")
+    monkeypatch.setattr(Beta, "_draw", fail)
+    with pytest.raises(DrawError, match="^sample with stream id 9 failed: no draw$"):
+        sample_perpetuity(PerpetuityConfig(U_EXP), RandomStream(0, 9))
+
+
+def test_failed_continued_draw_names_its_stream_id(monkeypatch):
+    # Beta(19, 1) paths run about 660 terms, so stream 9 outruns the first
+    # wave's one row and fails where the batch draws its pairs one stream
+    # at a time
+    draw_pairs = Independent.draw_pairs
+
+    def fail(self, stream, size):
+        if stream.stream_id == 9:
+            raise RuntimeError("no draw")
+        return draw_pairs(self, stream, size)
+    monkeypatch.setattr(Independent, "draw_pairs", fail)
+    cfg = PerpetuityConfig(Independent(Beta(19.0, 1.0), Exponential(1.0)))
+    with pytest.raises(DrawError, match="^sample with stream id 9 failed: no draw$"):
+        sample_batch(cfg, 40)
+
+
+@pytest.mark.parametrize("cfg, n, exhausted", [
+    (PerpetuityConfig(Independent(Beta(2000.0, 1.0), Exponential(1.0))), 300, 0),
+    (PerpetuityConfig(Independent(UniformContinuous(0.999, 1.0), Exponential(1.0)),
+                      epsilon=1e-300, max_terms=10 ** 5), 40, 40),
+], ids=["beta-2000", "exhausted"])
+def test_long_paths_working_memory_is_bounded(cfg, n, exhausted):
+    # paths of about 7e4 and exactly 1e5 terms, many _MAX_ROWS super-blocks
+    # each, and the first wave's 32 run on together; a stage holds about
+    # four float arrays of _STAGE elements (2 MiB), without the bound 17 MiB
+    tracemalloc.start()
+    try:
+        emp = sample_batch(cfg, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emp.n_exhausted == exhausted
+    assert peak < 2 * 4 * 8 * _STAGE
 
 
 def _emp(values) -> EmpiricalDistribution:

@@ -173,6 +173,19 @@ def test_batch_values_are_per_draw_values(joint, epsilon, max_terms, seed, n):
     assert n_exhausted == sum(o.exhausted for o in outs)
 
 
+
+def test_long_path_batch_values_are_per_draw_values():
+    # paths of about 34,500 terms, past the 341 rows of one wave: the first
+    # wave's draws run on together, and later draws start as paths
+    joint = Independent(UniformContinuous(0.998, 1.0), Exponential(1.0))
+    cfg = PerpetuityConfig(joint, max_terms=34_500, seed=SEED)
+    refs = [_reference_draw(joint, cfg.epsilon, cfg.max_terms, RandomStream(SEED, i))
+            for i in range(40)]
+    values, n_truncated, n_exhausted = _batch_chunk(cfg, range(40))
+    assert values.tobytes() == np.array([r[0] for r in refs]).tobytes()
+    assert (n_truncated, n_exhausted) == (40, sum(r[3] for r in refs))
+    assert 0 < n_exhausted < 40
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         print(f'    "{case}": {_digest(case)},')

@@ -28,8 +28,8 @@ def test_distinct_seeds_differ():
 def test_lanes_are_independent_sequences():
     s = RandomStream(seed=5)
     main = s.generator(LANE_MAIN).random(64)
-    m = RandomStream(s.seed, s.stream_id, s.pool).generator(LANE_M).random(64)
-    q = RandomStream(s.seed, s.stream_id, s.pool).generator(LANE_Q).random(64)
+    m = RandomStream(s.seed, s.stream_id).generator(LANE_M).random(64)
+    q = RandomStream(s.seed, s.stream_id).generator(LANE_Q).random(64)
     assert not np.array_equal(main, m)
     assert not np.array_equal(main, q)
     assert not np.array_equal(m, q)
@@ -40,7 +40,7 @@ def test_generator_is_cached_and_stateful():
     first = s.generator().random(8)
     second = s.generator().random(8)
     assert not np.array_equal(first, second)
-    rewound = RandomStream(s.seed, s.stream_id, s.pool).generator().random(8)
+    rewound = RandomStream(s.seed, s.stream_id).generator().random(8)
     np.testing.assert_array_equal(first, rewound)
 
 
@@ -57,27 +57,17 @@ def test_stream_id_lane_packing_never_collides():
 
 
 def test_pooled_streams_match_fresh_generators():
-    # a pooled stream re-keys one generator per lane; a draw that leaves a
-    # half-used 32-bit word buffered must not leak into the next stream
+    # the pool re-keys one generator per lane; a draw that leaves a half-used
+    # 32-bit word buffered must not leak into the next stream, within one
+    # walk over the ids or into the next walk
     pool = LanePool()
-    for sid in (0, 1, 2, 2**40, 7):
-        for lane in (LANE_M, LANE_Q, LANE_MAIN):
-            pooled = RandomStream(11, sid, pool).generator(lane)
+    ids = (0, 1, 2, 2**40, 7)
+    for lane in (LANE_M, LANE_Q, LANE_MAIN, LANE_M):
+        for sid, pooled in zip(ids, pool.rekeyed(lane, 11, ids)):
             fresh = RandomStream(11, sid).generator(lane)
             np.testing.assert_array_equal(pooled.integers(0, 2, 47),
                                           fresh.integers(0, 2, 47))
             np.testing.assert_array_equal(pooled.random(5), fresh.random(5))
-
-
-def test_pooled_stream_keeps_its_generator_until_reused():
-    pool = LanePool()
-    s = RandomStream(4, 3, pool)
-    first = s.generator().random(8)
-    second = s.generator().random(8)
-    np.testing.assert_array_equal(np.concatenate([first, second]),
-                                  RandomStream(4, 3).generator().random(16))
-    rewound = RandomStream(s.seed, s.stream_id, s.pool).generator().random(8)
-    np.testing.assert_array_equal(rewound, first)
 
 
 def test_derive_seed_deterministic_and_spread():
