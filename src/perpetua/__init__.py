@@ -20,7 +20,7 @@ from .laws import (FAMILIES, Beta, Exponential, FiniteDiscrete, FiniteJoint,
 from .moments import (REGIME_BOUNDARY, REGIME_CONTRACTING, REGIME_EXPANDING,
                       AbscissaResult, MomentReport, cauchy_hadamard_estimate,
                       classify_regime, exp_perpetuity_moment,
-                      p_moment_criterion, r_of_perpetuity, zstar_bound)
+                      p_moment_criterion, r_of_perpetuity)
 from .oracles import (OracleSpec, PurityProbe, bernoulli_convolution_cf,
                       oracle_gamma_sizebias, oracle_geometric,
                       oracle_levy_half, oracle_uniform_digits,
@@ -54,7 +54,7 @@ __all__ = [
     "two_sample_ks", "empirical_cf", "cf_modulus_grid", "empirical_moment",
     "atom_scan", "to_csv", "DEFAULT_EPSILON", "DEFAULT_MAX_TERMS",
     "MomentReport", "AbscissaResult", "classify_regime",
-    "p_moment_criterion", "zstar_bound", "r_of_perpetuity",
+    "p_moment_criterion", "r_of_perpetuity",
     "exp_perpetuity_moment",
     "cauchy_hadamard_estimate", "REGIME_CONTRACTING", "REGIME_BOUNDARY",
     "REGIME_EXPANDING",

@@ -30,9 +30,10 @@ Where each functional comes from:
   of the mean, or at level 8.  scipy.special is the only scipy module the
   package imports.  E e^{sX}
   keeps its closed forms at s = 0, for weibull shape 1 and where s > 0 has
-  no finite moment.  E M^p and E log M of beta(a, b) switch to large-a
-  expansions, and E log M to a series in b for b << a, where the closed
-  forms cancel.
+  no finite moment.  E|X|^p of exponential, gamma, inverse_gamma and beta
+  is one log-Gamma ratio, ``_log_gamma_ratio``, or a difference of two for
+  beta.  E log M of beta(a, b) switches to a large-a expansion, and to a
+  series in b for b << a, where the closed form cancels.
 - poisson: closed forms for the cdf, the pmf and E e^{sX}; E|X|^p and
   E log^+ X sum a window around the mean, integer by integer or, for a
   large mean, by the trapezoid rule.
@@ -78,9 +79,9 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _FLOAT_TINY = np.finfo(float).tiny
 _FLOAT_MAX = np.finfo(float).max
-# Beta(a, b) moments use large-a expansions from a = _BETA_ASYMPTOTIC * max(p, 1)
-# on, where the betaln and digamma differences cancel; the omitted terms are
-# below 1e-17 * max(p, 1) in log E M^p there
+# E log M of Beta(a, b) uses a large-a expansion from a = _BETA_ASYMPTOTIC on,
+# where the digamma difference cancels; the omitted terms are below 1e-17 of
+# it there
 _BETA_ASYMPTOTIC = 1e4
 # below it, E log M of Beta(a, b) is a series in b from b = _BETA_SMALL * a
 # down, where the digamma difference cancels; its terms fall by a factor of
@@ -353,15 +354,61 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+def _stirling_series(k):
+    """The asymptotic series of ``_stirling_remainder``, for k >= 30."""
+    k2 = k * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
+
+
 def _stirling_remainder(k, log_k):
     """log Gamma(k) - ((k - 1/2) log k - k + log(2 pi)/2), which is also
     log k! - ((k + 1/2) log k - k + log(2 pi)/2); a series for k >= 30."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the unused branch
-        k2 = k * k
-        return np.where(
-            k >= 30.0,
-            (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k,
-            special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI)
+        return np.where(k >= 30.0, _stirling_series(k),
+                        special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI)
+
+
+# below t = 1/64 the terms of log1p(t) - t through t^11 reach 1e-19 relative
+_LOG1P_MINUS_TAYLOR = tuple((-1.0) ** (n + 1) / n for n in range(11, 1, -1))
+
+
+def _log_gamma_ratio(x: float, p: float, y: float = 1.0) -> float:
+    """log Gamma(x + p) - log Gamma(x) - p log y for x, y > 0 and p >= 0.
+
+    Below p = 64 the integer part of p is exact steps Gamma(x + 1) = x Gamma(x),
+    an fsum of log((x + j) / y), so a unit mean E G, G ~ Gamma(a, a), is exactly
+    e^0.  Below x = 30 the rest is a ``gammaln`` difference; from 30 on it is
+    Stirling's formula differenced term by term, with t = p / x and R =
+    ``_stirling_series``: x (log1p(t) - t) - log1p(t) / 2 + p (log1p(t) +
+    log(x / y)) + R(x + p) - R(x), with log1p(t) - t a series below t = 1/64.
+    """
+    total = 0.0
+    if 1.0 <= p < 64.0:
+        n = int(p)
+        total = math.fsum([_log_ratio(x + j, y) for j in range(n)])
+        x, p = x + n, p - n
+        if p == 0.0:
+            return total
+    if x < 30.0:
+        return total + float(special.gammaln(x + p) - special.gammaln(x)) - p * math.log(y)
+    t = p / x
+    log1p_t = math.log1p(t)
+    if t < 1.0 / 64.0:
+        acc = _LOG1P_MINUS_TAYLOR[0]
+        for c in _LOG1P_MINUS_TAYLOR[1:]:
+            acc = acc * t + c
+        shift = p * t * acc  # x (log1p(t) - t), whose leading term is -x t^2 / 2
+    else:
+        shift = x * (log1p_t - t)
+    return (total + shift - 0.5 * log1p_t + p * (log1p_t + _log_ratio(x, y))
+            + (_stirling_series(x + p) - _stirling_series(x)))
+
+
+def _moment_from_log(log: float) -> float:
+    """e^log of a log-moment; OverflowError past the float range or at nan."""
+    if not log <= _LOG_FLOAT_MAX:
+        raise OverflowError("moment exceeds the float range")
+    return math.exp(log)
 
 
 def _poisson_log_pmf(k: np.ndarray, d: np.ndarray, lam: float) -> np.ndarray:
@@ -446,8 +493,8 @@ class ScalarLaw:
         """E |X|^p for p > 0; may be infinite."""
         raise NotImplementedError
 
-    def exp_moment(self, s: float, of_abs: bool = False) -> float:
-        """E e^{sX}, or E e^{s|X|} when ``of_abs`` is set; may be infinite."""
+    def exp_moment(self, s: float) -> float:
+        """E e^{sX}; may be infinite."""
         raise NotImplementedError
 
     def exp_abscissa(self) -> float:
@@ -536,10 +583,10 @@ class _AtomLaw(ScalarLaw):
             total += pr * abs(v) ** p
         return total
 
-    def exp_moment(self, s, of_abs=False):
+    def exp_moment(self, s):
         total = 0.0
         for v, pr in self.atoms:
-            e = _exp(s * (abs(v) if of_abs else v))
+            e = _exp(s * v)
             if math.isinf(e):
                 return math.inf
             total += pr * e
@@ -665,19 +712,9 @@ class UniformContinuous(ScalarLaw):
 
         return (g(self.hi) - g(self.lo)) / self._width()
 
-    def exp_moment(self, s, of_abs=False):
+    def exp_moment(self, s):
         if s == 0:
             return 1.0
-        if of_abs and self.lo < 0:
-            # split at 0: |X| folds the negative part
-            neg = (_exp(-s * self.lo) - 1.0) / s
-            top = min(self.hi, 0.0)
-            if top < 0:
-                neg -= (_exp(-s * top) - 1.0) / s
-            pos = 0.0
-            if self.hi > 0:
-                pos = (_exp(s * self.hi) - 1.0) / s
-            return (neg + pos) / self._width()
         return (_exp(s * self.hi) - _exp(s * self.lo)) / (s * self._width())
 
     def exp_abscissa(self):
@@ -754,7 +791,7 @@ class UniformDiscreteRange(ScalarLaw):
             rel += b2j / math.factorial(2 * j) * falling / big_n ** (2 * j)
         return math.exp(log_main + math.log(rel)) + float(special.zeta(-p)) / n
 
-    def exp_moment(self, s, of_abs=False):
+    def exp_moment(self, s):
         if s == 0 or self.n == 1:
             return 1.0
         if s * self.n < 700.0:
@@ -800,9 +837,9 @@ class Exponential(ScalarLaw):
 
     def abs_moment(self, p):
         self._check_p(p)
-        return math.exp(special.gammaln(p + 1) - p * math.log(self.rate))
+        return _moment_from_log(_log_gamma_ratio(1.0, p, self.rate))
 
-    def exp_moment(self, s, of_abs=False):
+    def exp_moment(self, s):
         if s >= self.rate:
             return math.inf
         return self.rate / (self.rate - s)
@@ -843,10 +880,9 @@ class Gamma(ScalarLaw):
 
     def abs_moment(self, p):
         self._check_p(p)
-        a, r = self.shape, self.rate
-        return math.exp(special.gammaln(a + p) - special.gammaln(a) - p * math.log(r))
+        return _moment_from_log(_log_gamma_ratio(self.shape, p, self.rate))
 
-    def exp_moment(self, s, of_abs=False):
+    def exp_moment(self, s):
         r = self.rate
         if s >= r:
             return math.inf
@@ -893,27 +929,14 @@ class Beta(ScalarLaw):
     def support(self):
         return (0.0, 1.0)
 
-    def _large_alpha_terms(self) -> tuple[float, float, float, float]:
-        """log1p(b/a), d = 1/a - 1/(a+b) = b/(a(a+b)), u = 1/a and v = 1/(a+b)."""
-        a, b = self.alpha, self.beta
-        v = 1.0 / (a + b)
-        return math.log1p(b / a), b * v / a, 1.0 / a, v
-
     def abs_moment(self, p):
         self._check_p(p)
-        a, b = self.alpha, self.beta
-        if a < _BETA_ASYMPTOTIC * max(p, 1.0):
-            return math.exp(special.betaln(a + p, b) - special.betaln(a, b))
-        # log E M^p = D(a) - D(a+b) with D(z) = log Gamma(z+p) - log Gamma(z)
-        # = p log z + c2/z + c3/z^2 + c4/z^3 + O(p^5 / z^4); the p log z
-        # terms give -p log1p(b/a), the rest d (c2 + c3 (u+v) + c4 (u^2+uv+v^2))
-        c2 = p * (p - 1.0) / 2.0
-        c3 = -p * (p - 1.0) * (2.0 * p - 1.0) / 12.0
-        c4 = (p * (p - 1.0)) ** 2 / 12.0
-        log_ratio, d, u, v = self._large_alpha_terms()
-        return math.exp(-p * log_ratio + d * (c2 + c3 * (u + v) + c4 * (u * u + u * v + v * v)))
+        # B(a + p, b) / B(a, b) = Gamma(a + p) Gamma(a + b) / (Gamma(a) Gamma(a + b + p)):
+        # two log-Gamma ratios, stepping by the smaller of p and b
+        a, step, y = self.alpha, min(p, self.beta), self.alpha + max(p, self.beta)
+        return _moment_from_log(_log_gamma_ratio(a, step, y) - _log_gamma_ratio(y, step, y))
 
-    def exp_moment(self, s, of_abs=False):
+    def exp_moment(self, s):
         return float(special.hyp1f1(self.alpha, self.alpha + self.beta, s))
 
     def exp_abscissa(self):
@@ -922,9 +945,10 @@ class Beta(ScalarLaw):
     def log_abs_mean(self):
         a, b = self.alpha, self.beta
         if a >= _BETA_ASYMPTOTIC:
-            # digamma(z) = log z - 1/(2z) - 1/(12 z^2) + O(1/z^4), differenced as above
-            log_ratio, d, u, v = self._large_alpha_terms()
-            return -log_ratio - d * (0.5 + (u + v) / 12.0)
+            # digamma(z) = log z - 1/(2z) - 1/(12 z^2) + O(1/z^4), differenced
+            # between z = a and a + b = 1/v: 1/a - v = b v / a
+            v = 1.0 / (a + b)
+            return -math.log1p(b / a) - b * v / a * (0.5 + (1.0 / a + v) / 12.0)
         if b > _BETA_SMALL * a:
             return float(special.digamma(a) - special.digamma(a + b))
         # digamma(a) - digamma(a + b) = -sum_n b^n psi^(n)(a) / n!, and
@@ -979,7 +1003,7 @@ class Weibull(ScalarLaw):
         self._check_p(p)
         return self.scale ** p * math.exp(special.gammaln(1 + p / self.shape))
 
-    def exp_moment(self, s, of_abs=False):
+    def exp_moment(self, s):
         k, lam = self.shape, self.scale
         if s == 0:
             return 1.0
@@ -1087,7 +1111,7 @@ class Poisson(ScalarLaw):
         self._check_p(p)
         return self._series(lambda k: p * np.log(k), 1)
 
-    def exp_moment(self, s, of_abs=False):
+    def exp_moment(self, s):
         return _exp(self.mean * math.expm1(s))
 
     def exp_abscissa(self):
@@ -1129,13 +1153,13 @@ class InverseGamma(ScalarLaw):
 
     def abs_moment(self, p):
         self._check_p(p)
-        a, b = self.shape, self.scale
+        a = self.shape
         if p >= a:
             return math.inf
-        return math.exp(p * math.log(b) + special.gammaln(a - p) - special.gammaln(a))
+        return _moment_from_log(-_log_gamma_ratio(a - p, p, self.scale))
 
-    def exp_moment(self, s, of_abs=False):
-        # X > 0, so of_abs changes nothing; no positive exponential moment
+    def exp_moment(self, s):
+        # no positive exponential moment
         if s == 0:
             return 1.0
         if s > 0:
@@ -1193,9 +1217,7 @@ class SignedRademacher(_AtomLaw):
             raw = bits.reshape(raw.shape[:-1] + (-1,))
         return np.array((-self.scale, self.scale)).take(raw)
 
-    def exp_moment(self, s, of_abs=False):
-        if of_abs:
-            return super().exp_moment(s, of_abs)
+    def exp_moment(self, s):
         if abs(s) * self.scale > 709:
             return math.inf
         return math.cosh(s * self.scale)  # the atom sum is 1 ulp off for some s
@@ -1236,8 +1258,8 @@ class LogPareto(ScalarLaw):
         # E e^{pW} with W power-tailed is infinite for every p > 0
         return math.inf
 
-    def exp_moment(self, s, of_abs=False):
-        # X > e, so of_abs changes nothing; no positive exponential moment
+    def exp_moment(self, s):
+        # X > e: no positive exponential moment
         if s == 0:
             return 1.0
         if s > 0:

@@ -20,6 +20,7 @@ bisection.  Any mass of |M| above 1 kills all exponential moments (r_Z = 0).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -121,6 +122,7 @@ def p_moment_criterion(joint: JointLaw, p: float) -> MomentReport:
     """Finiteness of E|Z|^p: equivalent to E|M|^p < 1 and E|Q|^p < inf.
 
     E|M|^p < 1 holds whenever |M| < 1 a.s., also where E|M|^p rounds to 1.
+    ``zstar_bound`` is the bound on E(Z*)^p of the module docstring.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise PreconditionError(f"p must be a finite real > 0, got {p!r}")
@@ -132,37 +134,12 @@ def p_moment_criterion(joint: JointLaw, p: float) -> MomentReport:
         raise PreconditionError(
             f"E|M|^p or E|Q|^p exceeds the float range at p = {p!r}") from None
     finite = (m_pow < 1.0 or _abs_below_one(joint.marginal_m())) and math.isfinite(q_pow)
-    bound = _zstar_from_moments(p, m_pow, q_pow) if finite else math.inf
+    bound = math.inf  # also where E|M|^p or ||M||_p rounds to 1
+    if finite and m_pow < 1.0:
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
+            bound = (q_pow / (1.0 - m_pow) if p <= 1.0
+                     else (q_pow ** (1.0 / p) / (1.0 - m_pow ** (1.0 / p))) ** p)
     return MomentReport(float(p), m_pow, q_pow, finite, bound)
-
-
-def zstar_bound(joint: JointLaw, p: float) -> float:
-    """Bound on E(Z*)^p for the absolute series Z* = sum |Pi_{k-1} Q_k|.
-
-    E|Q|^p / (1 - E|M|^p) for p <= 1 (subadditivity of x^p); the Minkowski
-    form (||Q||_p / (1 - ||M||_p))^p for p > 1.  Returns +inf when
-    E|M|^p >= 1 or E|Q|^p = inf, and when the bound exceeds the float range.
-    """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
-        raise PreconditionError(f"p must be a finite real > 0, got {p!r}")
-    try:
-        m_pow = joint.marginal_m().abs_moment(p)
-        q_pow = joint.marginal_q().abs_moment(p)
-    except OverflowError:  # a moment exceeds the float range
-        return math.inf
-    return _zstar_from_moments(p, m_pow, q_pow)
-
-
-def _zstar_from_moments(p: float, m_pow: float, q_pow: float) -> float:
-    """``zstar_bound`` from E|M|^p and E|Q|^p already at hand."""
-    if m_pow >= 1.0 or not math.isfinite(q_pow):
-        return math.inf
-    try:
-        if p <= 1.0:
-            return q_pow / (1.0 - m_pow)
-        return (q_pow ** (1.0 / p) / (1.0 - m_pow ** (1.0 / p))) ** p
-    except OverflowError:  # the bound exceeds the float range
-        return math.inf
 
 
 def _boundary_terms(joint: JointLaw, s: float) -> tuple[float, float, float, float]:

@@ -160,7 +160,6 @@ def law_rows(name, law):
         "support": _call(law.support),
         "abs_moment": _grid(law.abs_moment, [(p,) for p in PS]),
         "exp_moment": _grid(law.exp_moment, [(s,) for s in SS]),
-        "exp_moment_abs": _grid(law.exp_moment, [(s, True) for s in SS]),
         "exp_abscissa": _call(law.exp_abscissa),
         "log_abs_mean": _call(law.log_abs_mean),
         "log_plus_abs_moment": _call(law.log_plus_abs_moment),

@@ -336,6 +336,43 @@ def test_analyze_gamma_laws_at_the_root(law, verdict, tmp_path, capsys):
     assert report["existence"]["verdict"] == verdict
 
 
+# E M^p of gamma(a, a) is exactly 1 at p = 1 and above 1 at p = 2, so neither
+# moment of Z is finite; a log-Gamma difference read E M = 1 - 2e-16 at a = 0.4
+# and E M = 0.99969, E M^2 = 0.99987 at a = 1e11, all with a finite bound
+@pytest.mark.parametrize("shape", [0.4, 1e11])
+def test_analyze_gamma_with_unit_mean_has_no_finite_moment(shape, tmp_path, capsys):
+    law = {"family": "gamma", "params": {"shape": shape, "rate": shape}}
+    report = _analyze_clean(tmp_path, capsys, {"coupling": "independent", "M": law, "Q": EXP_ONE})
+    assert [(m["finite"], m["zstar_bound"]) for m in report["moments"]] == [(False, "inf")] * 2
+    assert report["moments"][0]["m_pow"] == 1.0
+
+
+def _analyze_moments(tmp_path, capsys, m, q, p):
+    cfg = _write(tmp_path, {"coupling": "independent", "M": m, "Q": q})
+    assert main(["analyze", cfg, "--p", p, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return json.loads(captured.out, parse_constant=_reject_constant)["moments"]
+
+
+def test_analyze_beta_moments_next_to_one(tmp_path, capsys):
+    def beta(alpha, b):
+        return {"family": "beta", "params": {"alpha": alpha, "beta": b}}
+
+    half = {"family": "uniform", "params": {"lo": 0.0, "hi": 0.5}}
+    # E M^p = 1 - 1e-200 rounds to 1; the large-alpha expansion overflowed
+    # and the moment was refused
+    assert _analyze_moments(tmp_path, capsys, beta(1e300, 1.0), half, "1e100") == [
+        {"p": 1e100, "m_pow": 1.0, "q_pow": 0.0, "finite": True, "zstar_bound": "inf"}]
+    # E M^p = 1 - 2.5e-14, which the betaln difference read as 1 + 9e-13
+    (small,) = _analyze_moments(tmp_path, capsys, beta(1000.0, 1e-10), EXP_ONE, "0.25")
+    assert small["m_pow"] < 1.0 and small["finite"] and small["zstar_bound"] != "inf"
+    # ||M||_p = (1 - 1e-13)^(1e-4) rounds to 1, and the Minkowski bound
+    # divided by zero with a traceback
+    (edge,) = _analyze_moments(tmp_path, capsys, beta(1e17, 1.0), half, "10000")
+    assert edge["m_pow"] < 1.0 and edge["finite"] and edge["zstar_bound"] == "inf"
+
+
 def _fail_draw_of_stream(monkeypatch, stream_id):
     """Make the M draw of one stream of a beta x exponential batch raise."""
     draw = laws.Beta._draw
@@ -537,12 +574,14 @@ def test_verify_singularity_runs_from_registry(capsys):
 _pos = st.floats(0.1, 4.0)
 # scales, poisson means and range sizes also reach the edges of validity
 _scale = st.one_of(_pos, st.floats(1e10, 1e300))
+# and so do the shapes of gamma, beta and inverse_gamma, at both ends
+_shape = st.one_of(_pos, st.floats(1e-300, 1e-3), st.floats(1e10, 1e300))
 _VALID_PARAMS = {
     "point_mass": {"value": st.floats(-3.0, 3.0)},
-    "exponential": {"rate": _pos}, "gamma": {"shape": _pos, "rate": _pos},
-    "beta": {"alpha": _pos, "beta": _pos}, "weibull": {"shape": _pos, "scale": _scale},
+    "exponential": {"rate": _pos}, "gamma": {"shape": _shape, "rate": _pos},
+    "beta": {"alpha": _shape, "beta": _shape}, "weibull": {"shape": _pos, "scale": _scale},
     "poisson": {"mean": st.one_of(_pos, st.floats(1e7, 9.223372006484771e18))},
-    "inverse_gamma": {"shape": _pos, "scale": _scale},
+    "inverse_gamma": {"shape": _shape, "scale": _scale},
     "signed_rademacher": {"scale": _scale}, "log_pareto": {"index": _pos},
     "uniform_discrete_range": {"n": st.one_of(st.integers(1, 6), st.integers(2 ** 20, 2 ** 63))},
 }

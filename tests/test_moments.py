@@ -13,7 +13,7 @@ from perpetua.moments import (REGIME_BOUNDARY, REGIME_CONTRACTING,
                               REGIME_EXPANDING, _boundary_feasible,
                               _boundary_terms, cauchy_hadamard_estimate,
                               classify_regime, exp_perpetuity_moment,
-                              p_moment_criterion, r_of_perpetuity, zstar_bound)
+                              p_moment_criterion, r_of_perpetuity)
 
 BOUNDARY = Independent(FiniteDiscrete((1.0, 0.5), (0.5, 0.5)), Exponential(2.0))
 # probabilities that sum to 0.9999999999999999, one ulp below 1
@@ -52,14 +52,14 @@ def test_p_moment_two_scale_small_p_finite():
 def test_zstar_bound_minkowski_branch():
     j = Independent(PointMass(0.5), Exponential(1.0))
     want = (math.sqrt(2.0) / (1.0 - math.sqrt(0.25))) ** 2
-    assert zstar_bound(j, 2.0) == pytest.approx(want)
+    assert p_moment_criterion(j, 2.0).zstar_bound == pytest.approx(want)
     assert want == pytest.approx(8.0)
 
 
 def test_zstar_bound_infinite_when_criterion_fails():
-    assert math.isinf(zstar_bound(TWO_SCALE, 2.0))
+    assert math.isinf(p_moment_criterion(TWO_SCALE, 2.0).zstar_bound)
     heavy = Independent(PointMass(0.5), Gamma(0.5, 1.0))
-    assert math.isfinite(zstar_bound(heavy, 1.0))
+    assert math.isfinite(p_moment_criterion(heavy, 1.0).zstar_bound)
 
 
 def test_p_moment_criterion_computes_each_moment_once(monkeypatch):
@@ -72,7 +72,8 @@ def test_p_moment_criterion_computes_each_moment_once(monkeypatch):
     rep = p_moment_criterion(Independent(Beta(2.0, 3.0), Exponential(1.5)), 2.0)
     assert rep.finite
     assert sorted(calls) == ["Beta", "Exponential"]
-    assert rep.zstar_bound == zstar_bound(Independent(Beta(2.0, 3.0), Exponential(1.5)), 2.0)
+    # Minkowski: E M^2 = 1/5 and E Q^2 = 2 / 1.5^2
+    assert rep.zstar_bound == pytest.approx((math.sqrt(2.0) / 1.5 / (1.0 - math.sqrt(0.2))) ** 2)
 
 
 def test_r_star_search_ends_when_the_bracket_is_one_float_wide():
@@ -91,7 +92,6 @@ def test_moments_beyond_float_range_are_refused_not_raised():
     for joint, p in ((tail, 400.0), (big_m, 1000.0)):
         with pytest.raises(PreconditionError, match="float range"):
             p_moment_criterion(joint, p)
-        assert math.isinf(zstar_bound(joint, p))
 
 
 def test_moment_report_json_extended_reals():
@@ -156,7 +156,6 @@ def test_exp_feasible_contracting_tracks_q():
     assert classify_regime(j) == REGIME_CONTRACTING
     res = r_of_perpetuity(j)
     assert res.r_z == res.r_q == 3.0
-    assert j.marginal_q().exp_moment(2.0, of_abs=True) == pytest.approx(3.0)
 
 
 def test_r_star_boundary_closed_form():
