@@ -15,8 +15,8 @@ from .existence import (VERDICT_CONVERGES, VERDICT_DEGENERATE,
 from .laws import (FAMILIES, Beta, Exponential, FiniteDiscrete, FiniteJoint,
                    Gamma, Independent, InverseGamma, LogPareto, PointMass,
                    Poisson, ScalarLaw, SignedRademacher, UniformContinuous,
-                   UniformDiscreteRange, Weibull, event_prob, joint_from_json,
-                   joint_to_json, law_from_json, law_to_json)
+                   UniformDiscreteRange, Weibull, joint_from_json, joint_to_json,
+                   law_from_json, law_to_json)
 from .moments import (REGIME_BOUNDARY, REGIME_CONTRACTING, REGIME_EXPANDING,
                       AbscissaResult, MomentReport, cauchy_hadamard_estimate,
                       classify_regime, exp_perpetuity_moment,
@@ -43,7 +43,7 @@ __all__ = [
     "UniformDiscreteRange", "Exponential", "Gamma", "Beta", "Weibull",
     "Poisson", "InverseGamma", "SignedRademacher", "LogPareto", "FAMILIES",
     "Independent", "FiniteJoint",
-    "event_prob", "law_to_json", "law_from_json", "joint_to_json",
+    "law_to_json", "law_from_json", "joint_to_json",
     "joint_from_json",
     "ExistenceReport", "existence_report", "degeneracy_scan",
     "product_vanishes_verdict", "tail_integral_verdict",

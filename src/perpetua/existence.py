@@ -13,14 +13,19 @@ in probability.  When P{M = 0} > 0 the series terminates at the first zero
 factor regardless of Q, and sampling is exact.
 
 The integral verdict is decided analytically: I < inf exactly when
-E log^+ |Q| < inf.  Whenever the products vanish a.s., P{|M| < 1} > 0, so
+E log^+ |Q| < inf (Goldie & Maller, "Stability of perpetuities", Ann.
+Probab. 2000).  Whenever the products vanish a.s., P{|M| < 1} > 0, so
 A(1) > 0, and A(y) >= min(y, 1) A(1) bounds the integrand by
 max(log x, 1) / A(1): E log^+ |Q| < inf gives I < inf.  Conversely
 A <= E log^- |M|, so I >= E log^+ |Q| / E log^- |M|: E log^+ |Q| = inf gives
-I = inf provided E log^- |M| < inf.  That holds for every family in
-``laws`` once P{M = 0} = 0 (E log |M| > -inf for each of them), which the
-tests check over the golden table; a family with E log^- |M| = inf would
-need A itself.
+I = inf provided E log^- |M| < inf.  Every M that reaches this test has
+P{M = 0} = 0, and then E log^- |M| < inf for every family in ``laws``:
+poisson and uniform_discrete_range always have an atom at 0, log_pareto
+lies above e, and each other family has E log |M| > -inf, which the tests
+check over the golden table.  A family with E log^- |M| = inf would need
+the integral A itself.  E log^+ |Q| is finite for every family but
+log_pareto with index <= 1, so the verdict is the predicate
+``log_plus_abs_finite`` and no quadrature.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PreconditionError
-from .laws import (FiniteJoint, Independent, JointLaw, ScalarLaw, _abs_below_one,
-                   event_prob)
+from .laws import FiniteJoint, Independent, JointLaw, ScalarLaw, _abs_below_one
 
 VERDICT_CONVERGES = "converges-a.s."
 VERDICT_DIVERGES = "diverges-in-probability"
@@ -73,7 +77,7 @@ def product_vanishes_verdict(law_m: ScalarLaw) -> str:
     a.s. and the answer is "yes" even where E log|M| rounds to 0, as for
     Beta(1e300, 1e-300).  Requires P{M = 0} = 0.
     """
-    if law_m.point_prob(0.0) > 0:
+    if law_m.has_atom_at(0.0):
         raise PreconditionError("product verdict undefined: P{M = 0} > 0")
     if _abs_below_one(law_m):
         return "yes"
@@ -88,13 +92,14 @@ def tail_integral_verdict(joint: JointLaw) -> tuple[str, str]:
 
     Precondition: the partial products vanish a.s.  Then A(1) > 0 and
     A <= E log^- |M| < inf, so I < inf exactly when E log^+ |Q| < inf (see
-    the module docstring); the method is always "analytic".
+    the module docstring), which is the Q law's ``log_plus_abs_finite``; the
+    method is always "analytic".
     """
     if product_vanishes_verdict(joint.marginal_m()) != "yes":
         raise PreconditionError(
             "tail integral verdict requires the partial products to vanish a.s.")
-    lq = joint.marginal_q().log_plus_abs_moment()
-    return ("finite" if math.isfinite(lq) else "infinite", "analytic")
+    finite = joint.marginal_q().log_plus_abs_finite()
+    return ("finite" if finite else "infinite", "analytic")
 
 
 def degeneracy_scan(joint: JointLaw) -> float | None:
@@ -138,16 +143,15 @@ def existence_report(joint: JointLaw) -> ExistenceReport:
     the series terminates at the first zero factor), or "unknown".  Reports
     are cached per joint law.
     """
-    p_m_zero = event_prob(joint, "M=0")
-    p_q_zero = event_prob(joint, "Q=0")
-    nonzero_ok = p_m_zero == 0.0 and p_q_zero < 1.0
+    m_zero = joint.marginal_m().has_atom_at(0.0)
+    nonzero_ok = not m_zero and joint.marginal_q().as_point() != 0.0
     degenerate_at = degeneracy_scan(joint)
 
     if degenerate_at is not None:
-        pi = product_vanishes_verdict(joint.marginal_m()) if p_m_zero == 0.0 else "yes"
+        pi = "yes" if m_zero else product_vanishes_verdict(joint.marginal_m())
         return ExistenceReport(nonzero_ok, pi, "unknown", None,
                                degenerate_at, VERDICT_DEGENERATE)
-    if p_m_zero > 0.0:
+    if m_zero:
         # the series stops at the first zero factor; no condition on Q needed
         return ExistenceReport(nonzero_ok, "yes", "unknown", None,
                                None, VERDICT_EXACT_STOP)

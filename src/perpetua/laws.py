@@ -5,10 +5,10 @@ the closed vocabulary of marginal families and the two supported couplings
 (independent marginals, finite joint atoms).  Every family carries an exact
 sampler plus the analytic functionals the rest of the package needs:
 moments of |X|, exponential moments and their abscissa of convergence,
-distribution functions, atom probabilities and logarithmic moments.  A
-sampler is one numpy generator call per stream key (``_draw``) and an
-elementwise rest (``_finish``), so a joint's ``draw_rows`` makes one call per
-draw of a wave and finishes the whole wave's rows at once.
+atom probabilities and logarithmic moments.  A sampler is one numpy
+generator call per stream key (``_draw``) and an elementwise rest
+(``_finish``), so a joint's ``draw_rows`` makes one call per draw of a wave
+and finishes the whole wave's rows at once.
 
 Where each functional comes from:
 
@@ -16,36 +16,36 @@ Where each functional comes from:
   sums every functional over the family's atom table; signed_rademacher
   keeps cosh for E e^{sX}.
 - uniform, exponential, gamma, beta, weibull, inverse_gamma, log_pareto:
-  closed forms, except five functionals that are means of one
-  G ~ Gamma(a, 1): E log^+ X of gamma (G / rate) and inverse_gamma
-  (scale / G), and E e^{sX} of inverse_gamma, of weibull (scale G^{1/shape},
-  a = 1) and of log_pareto (exp(exp(G / index)), a = 1).  One quadrature
-  helper, ``_log_gamma_mean``, integrates each over T = log(G / a); it cuts
-  the line at the mode of T, at its right shoulder for a < e^-40 and at the
-  point where the caller says the integrand switches, and grades every
-  piece toward its features.  Each piece goes to the package's own
-  tanh-sinh rule (Takahasi & Mori 1974) on nested levels h = 2^-3 ... 2^-8;
-  a piece stops at the first level where the error that its last three
-  sums predict, d_k^2 / d_{k-1} with d_k = |S_k - S_{k-1}|, is below 1e-14
-  of the mean, or at level 8.  scipy.special is the only scipy module the
-  package imports.  E e^{sX}
-  keeps its closed forms at s = 0, for weibull shape 1 and where s > 0 has
-  no finite moment.  E|X|^p of exponential, gamma, inverse_gamma and beta
-  is one log-Gamma ratio, ``_log_gamma_ratio``, or a difference of two for
-  beta.  E log M of beta(a, b) switches to a large-a expansion, and to a
-  series in b for b << a, where the closed form cancels.
-- poisson: closed forms for the cdf, the pmf and E e^{sX}; E|X|^p and
-  E log^+ X sum a window around the mean, integer by integer or, for a
-  large mean, by the trapezoid rule.
+  closed forms, except three functionals that are means of one
+  G ~ Gamma(a, 1): E e^{sX} of inverse_gamma (scale / G), of weibull
+  (scale G^{1/shape}, a = 1) and of log_pareto (exp(exp(G / index)),
+  a = 1).  One quadrature helper, ``_log_gamma_mean``, integrates each over
+  T = log(G / a); it cuts the line at the mode of T, at its right shoulder
+  for a < e^-40 and at the point where the caller says the integrand
+  switches, and grades every piece toward its features.  Each piece goes to
+  the package's own tanh-sinh rule (Takahasi & Mori 1974) on nested levels
+  h = 2^-3 ... 2^-8; a piece stops at the first level where the error that
+  its last three sums predict, d_k^2 / d_{k-1} with d_k = |S_k - S_{k-1}|,
+  is below 1e-14 of the mean, or at level 8.  scipy.special is the only
+  scipy module the package imports.  E e^{sX} keeps its closed forms at
+  s = 0, for weibull shape 1 and where s > 0 has no finite moment.  E|X|^p
+  of exponential, gamma, inverse_gamma and beta is one log-Gamma ratio,
+  ``_log_gamma_ratio``, or a difference of two for beta.  E log M of
+  beta(a, b) switches to a large-a expansion, and to a series in b for
+  b << a, where the closed form cancels.
+- poisson: closed forms for the pmf and E e^{sX}; E|X|^p sums a window
+  around the mean, integer by integer or, for a large mean, by the
+  trapezoid rule.
 - uniform_discrete_range: closed forms; E|X|^p is an exact sum up to 2^16
   atoms and an Euler-Maclaurin expansion above.
-- P{|X| < u} and P{|X| > u} come from the cdf, or from the atom sums.
+- Whether |X| exceeds, equals or falls below 1 with positive probability is
+  read off ``support()`` and the atoms, never off a probability that may
+  round to 0 or 1 (``_abs_may_exceed_one`` and its neighbours).
 - params_json reads the dataclass fields.
 
 A moment beyond the float range raises OverflowError.  All laws are frozen,
 hashable value types with a stable JSON form.
 """
-
 from __future__ import annotations
 
 import math
@@ -97,9 +97,6 @@ _DIGAMMA_SERIES = 30.0
 # the top bits of the low and the high 32-bit half of a 64-bit word
 _HALF_WORD_TOP_BITS = np.array([31, 63], dtype=np.uint64)
 
-EVENTS = ("M=0", "M=1", "M=-1", "|M|=1", "|M|<1", "|M|<=1", "|M|>1", "Q=0")
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise LawValidationError(msg)
@@ -112,14 +109,6 @@ def _finite(x) -> bool:
 def _exp(x: float) -> float:
     """exp that saturates to inf instead of raising OverflowError."""
     return math.exp(x) if x < 709.0 else math.inf
-
-
-def _pow(x: float, y: float) -> float:
-    """x ** y for x >= 0 that saturates to inf instead of raising OverflowError."""
-    try:
-        return x ** y
-    except OverflowError:
-        return math.inf
 
 
 def _log_ratio(x: float, y: float) -> float:
@@ -263,14 +252,14 @@ def _tanh_sinh(f, lengths: list) -> float:
     return sum(s[-1] for s in sums)
 
 
-def _log_gamma_mean(a, log_h, switch, width, lo=-math.inf, hi=math.inf) -> float:
-    """E h(T) 1{lo < T < hi} for T = log(G / a), G ~ Gamma(a, 1), h = e^{log_h}.
+def _log_gamma_mean(a, log_h, switch, width) -> float:
+    """E h(T) for T = log(G / a), G ~ Gamma(a, 1), h = e^{log_h}.
 
     T has density sqrt(a / 2 pi) e^{-delta(a) - a (e^t - 1 - t)} about its
     mode 0, with no cancellation at large a.  The integrand varies on the
     density's side widths at 0 and on ``width`` at ``switch``, where the
     caller says h changes regime (a non-finite switch adds no cut).  The
-    line is cut there and at lo and hi.  A finite piece is split so that the
+    line is cut there.  A finite piece is split so that the
     half at its finer feature spans _FEATURE_WIDTHS of its widths, and a
     tail is split there when the density is wider still.  Below a = e^-40
     the density's right shoulder, a (e^t - 1) = 1, is one more feature: it
@@ -320,7 +309,7 @@ def _log_gamma_mean(a, log_h, switch, width, lo=-math.inf, hi=math.inf) -> float
         return span
 
     pieces = []  # (end, sign, w, span): t runs from end over span, graded by w
-    cuts = sorted({f for f, _ in features if lo < f < hi} | {lo, hi})
+    cuts = sorted({f for f, _ in features} | {-math.inf, math.inf})
     with np.errstate(all="ignore"):
         for p, q in zip(cuts, cuts[1:]):
             if math.isinf(p) or math.isinf(q):
@@ -459,32 +448,25 @@ class ScalarLaw:
     def sample_block(self, gen, size) -> np.ndarray:
         return self._finish(self._draw(gen, size))
 
-    # -- distribution functions ------------------------------------------
-
-    def cdf(self, x: float) -> float:
-        raise NotImplementedError
+    # -- atoms and support -------------------------------------------------
 
     def point_prob(self, x: float) -> float:
         """P{X = x}; zero for continuous families."""
         return 0.0
 
-    def prob_abs_lt(self, u: float) -> float:
-        """P{|X| < u}."""
-        if u <= 0:
-            return 0.0
-        return max(0.0, (self.cdf(u) - self.point_prob(u)) - self.cdf(-u))
-
-    def prob_abs_le(self, u: float) -> float:
-        """P{|X| <= u}."""
-        if u < 0:
-            return 0.0
-        return max(0.0, self.cdf(u) - self.cdf(-u) + self.point_prob(-u))
-
-    def prob_abs_gt(self, u: float) -> float:
-        """P{|X| > u}."""
-        return max(0.0, 1.0 - self.prob_abs_le(u))
+    def has_atom_at(self, x: float) -> bool:
+        """Whether P{X = x} > 0, decided exactly: no probability is rounded."""
+        return False
 
     def support(self) -> tuple[float, float]:
+        """The closed hull (lo, hi) of the values X takes.
+
+        A continuous family has a positive density on all of it, and
+        poisson and uniform_discrete_range have an atom on every integer of
+        it, so for them an interval that meets the support in more than a
+        point, or in an integer, has positive probability.  An atom law's
+        support is the hull of its atoms.
+        """
         raise NotImplementedError
 
     # -- moments ----------------------------------------------------------
@@ -505,9 +487,9 @@ class ScalarLaw:
         """E log|X|; undefined (raises) when P{X = 0} > 0."""
         raise NotImplementedError
 
-    def log_plus_abs_moment(self) -> float:
-        """E log^+ |X| = E max(log|X|, 0); may be infinite."""
-        raise NotImplementedError
+    def log_plus_abs_finite(self) -> bool:
+        """Whether E log^+ |X| = E max(log|X|, 0) is finite."""
+        return True
 
     # -- structure --------------------------------------------------------
 
@@ -548,29 +530,17 @@ class _AtomLaw(ScalarLaw):
     def _set_atoms(self, atoms: tuple) -> None:
         object.__setattr__(self, "atoms", atoms)  # frozen: written once, in __post_init__
 
-    def cdf(self, x):
-        total = 0.0
-        for v, p in self.atoms:
-            total += p if v <= x else 0.0
-        return total
-
     def point_prob(self, x):
         total = 0.0
         for v, p in self.atoms:
             total += p if v == x else 0.0
         return total
 
-    def prob_abs_lt(self, u):
-        total = 0.0
-        for v, p in self.atoms:
-            total += p if abs(v) < u else 0.0
-        return total
-
-    def prob_abs_gt(self, u):
-        total = 0.0
-        for v, p in self.atoms:
-            total += p if abs(v) > u else 0.0
-        return total
+    def has_atom_at(self, x):
+        for v, _ in self.atoms:
+            if v == x:
+                return True
+        return False
 
     def support(self):
         values = [v for v, _ in self.atoms]
@@ -601,12 +571,6 @@ class _AtomLaw(ScalarLaw):
             if v == 0:
                 raise PreconditionError("log moment undefined: P{X = 0} > 0")
             total += pr * math.log(abs(v))
-        return total
-
-    def log_plus_abs_moment(self):
-        total = 0.0
-        for v, pr in self.atoms:
-            total += pr * math.log(abs(v)) if abs(v) > 1 else 0.0
         return total
 
     def as_point(self):
@@ -694,13 +658,6 @@ class UniformContinuous(ScalarLaw):
     def _finish(self, raw):
         return self.lo + self._width() * raw
 
-    def cdf(self, x):
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return 1.0
-        return (x - self.lo) / self._width()
-
     def support(self):
         return (self.lo, self.hi)
 
@@ -726,16 +683,6 @@ class UniformContinuous(ScalarLaw):
 
         return (g(self.hi) - g(self.lo)) / self._width()
 
-    def log_plus_abs_moment(self):
-        def h(t):
-            if abs(t) <= 1:
-                return 0.0
-            if t > 1:
-                return t * math.log(t) - t + 1
-            return t * math.log(-t) - t - 1
-
-        return (h(self.hi) - h(self.lo)) / self._width()
-
 
 @dataclass(frozen=True)
 class UniformDiscreteRange(ScalarLaw):
@@ -755,15 +702,11 @@ class UniformDiscreteRange(ScalarLaw):
     def _finish(self, raw):
         return raw.astype(float)
 
-    def cdf(self, x):
-        if x < 0:
-            return 0.0
-        return min(math.floor(x) + 1, self.n) / self.n
-
     def point_prob(self, x):
-        if x == int(x) and 0 <= x < self.n:
-            return 1.0 / self.n
-        return 0.0
+        return 1.0 / self.n if self.has_atom_at(x) else 0.0
+
+    def has_atom_at(self, x):
+        return 0 <= x < self.n and x % 1.0 == 0.0
 
     def support(self):
         return (0.0, float(self.n - 1))
@@ -807,9 +750,6 @@ class UniformDiscreteRange(ScalarLaw):
     def log_abs_mean(self):
         raise PreconditionError("log moment undefined: P{X = 0} > 0")
 
-    def log_plus_abs_moment(self):
-        return float(special.gammaln(self.n)) / self.n  # log (n-1)! / n
-
     def as_point(self):
         return 0.0 if self.n == 1 else None
 
@@ -829,9 +769,6 @@ class Exponential(ScalarLaw):
     def _finish(self, raw):
         return raw / self.rate
 
-    def cdf(self, x):
-        return -math.expm1(-self.rate * x) if x > 0 else 0.0
-
     def support(self):
         return (0.0, math.inf)
 
@@ -850,10 +787,6 @@ class Exponential(ScalarLaw):
     def log_abs_mean(self):
         return -np.euler_gamma - math.log(self.rate)
 
-    def log_plus_abs_moment(self):
-        # integration by parts turns the tail integral into E1(rate)
-        return float(special.exp1(self.rate))
-
 
 @dataclass(frozen=True)
 class Gamma(ScalarLaw):
@@ -871,9 +804,6 @@ class Gamma(ScalarLaw):
 
     def _finish(self, raw):
         return raw / self.rate
-
-    def cdf(self, x):
-        return float(special.gammainc(self.shape, self.rate * x)) if x > 0 else 0.0
 
     def support(self):
         return (0.0, math.inf)
@@ -899,11 +829,6 @@ class Gamma(ScalarLaw):
             return float(special.digamma(self.shape)) - math.log(self.rate)
         return _digamma_minus_log_of(self.shape, self.rate)
 
-    def log_plus_abs_moment(self):
-        # log X = T - c for T = log(G / shape): E (T - c) over T > c
-        c = _log_ratio(self.rate, self.shape)
-        return _log_gamma_mean(self.shape, lambda t: np.log(t - c), c, math.inf, lo=c)
-
 
 @dataclass(frozen=True)
 class Beta(ScalarLaw):
@@ -918,13 +843,6 @@ class Beta(ScalarLaw):
 
     def _draw(self, gen, size):
         return gen.beta(self.alpha, self.beta, size)
-
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        if x >= 1:
-            return 1.0
-        return float(special.betainc(self.alpha, self.beta, x))
 
     def support(self):
         return (0.0, 1.0)
@@ -962,9 +880,6 @@ class Beta(ScalarLaw):
         n = np.arange(1, _BETA_SMALL_TERMS + 1)
         return shift + float(np.sum((-b) ** n * special.zeta(n + 1.0, a)))
 
-    def log_plus_abs_moment(self):
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Weibull(ScalarLaw):
@@ -985,23 +900,13 @@ class Weibull(ScalarLaw):
     def _finish(self, raw):
         return self.scale * raw
 
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return -math.expm1(-_pow(x / self.scale, self.shape))
-
-    def prob_abs_gt(self, u):
-        # the survival function itself: 1 - cdf(u) rounds tails below 1e-16 to 0
-        if u <= 0:
-            return 1.0
-        return math.exp(-_pow(u / self.scale, self.shape))
-
     def support(self):
         return (0.0, math.inf)
 
     def abs_moment(self, p):
         self._check_p(p)
-        return self.scale ** p * math.exp(special.gammaln(1 + p / self.shape))
+        return _moment_from_log(p * math.log(self.scale)
+                                + float(special.gammaln(1.0 + p / self.shape)))
 
     def exp_moment(self, s):
         k, lam = self.shape, self.scale
@@ -1032,17 +937,6 @@ class Weibull(ScalarLaw):
     def log_abs_mean(self):
         return math.log(self.scale) - np.euler_gamma / self.shape
 
-    def log_plus_abs_moment(self):
-        # X = lam U^(1/k) with U ~ Exp(1), and log X > 0 exactly when U > u0 =
-        # lam^-k; integrating (log lam + log u / k) e^-u over (u0, inf) by parts
-        # leaves E1(u0) / k.  Below the normal range, E1(u0) = -gamma - log u0
-        # to within u0, which gives E log X; a u0 of inf leaves exp1(inf) = 0.
-        k, lam = self.shape, self.scale
-        u0 = _pow(lam, -k)
-        if u0 < _FLOAT_TINY:
-            return self.log_abs_mean()
-        return float(special.exp1(u0)) / k
-
 
 @dataclass(frozen=True)
 class Poisson(ScalarLaw):
@@ -1060,13 +954,8 @@ class Poisson(ScalarLaw):
     def _finish(self, raw):
         return raw.astype(float)
 
-    def cdf(self, x):
-        if x < 0:
-            return 0.0
-        return float(special.pdtr(math.floor(x), self.mean))
-
     def point_prob(self, x):
-        if x != int(x) or x < 0:
+        if not self.has_atom_at(x):
             return 0.0
         k = int(x)
         if k < 30:  # as accurate as _poisson_log_pmf below its Stirling branch
@@ -1074,13 +963,16 @@ class Poisson(ScalarLaw):
         k = np.array([float(k)])
         return math.exp(_poisson_log_pmf(k, k - self.mean, self.mean)[0])
 
+    def has_atom_at(self, x):
+        return x >= 0 and x % 1.0 == 0.0
+
     def support(self):
         return (0.0, math.inf)
 
-    def _series(self, log_weight, k_min: int) -> float:
-        """E f(X) 1{X >= k_min} from a vectorized log f; OverflowError past the float range.
+    def abs_moment(self, p):
+        """E X^p; OverflowError past the float range.
 
-        The summand f(k) P{X = k} is log-concave in k.  Offsets d = k - mean
+        The summand k^p P{X = k} is log-concave in k.  Offsets d = k - mean
         within +-(40 sqrt(mean) + 60) hold all of it but e^-700; the window
         is widened while the weight pushes mass past its right end.  Up to
         _POISSON_NODES integers are summed one by one.  A wider window means
@@ -1088,9 +980,10 @@ class Poisson(ScalarLaw):
         sqrt(mean) > 49, and the trapezoid rule on _POISSON_NODES equally
         spaced offsets (steps >= 1) sums it to rounding error.
         """
+        self._check_p(p)
         lam = self.mean
         d_hi = 40.0 * math.sqrt(lam) + 60.0
-        d_lo = max(k_min - lam, -d_hi)
+        d_lo = max(1.0 - lam, -d_hi)
         while True:
             if d_hi - d_lo < _POISSON_NODES:
                 k = np.arange(math.ceil(lam + d_lo), math.floor(lam + d_hi) + 1.0)
@@ -1098,7 +991,7 @@ class Poisson(ScalarLaw):
             else:
                 d, step = np.linspace(d_lo, d_hi, _POISSON_NODES, retstep=True)
                 k = lam + d
-            log_terms = log_weight(k) + _poisson_log_pmf(k, d, lam)
+            log_terms = p * np.log(k) + _poisson_log_pmf(k, d, lam)
             top = float(log_terms.max())
             if top > _LOG_FLOAT_MAX:  # one term alone is out of range
                 raise OverflowError("moment exceeds the float range")
@@ -1106,10 +999,6 @@ class Poisson(ScalarLaw):
                 break
             d_hi *= 2.0
         return math.exp(top + math.log(step * float(np.sum(np.exp(log_terms - top)))))
-
-    def abs_moment(self, p):
-        self._check_p(p)
-        return self._series(lambda k: p * np.log(k), 1)
 
     def exp_moment(self, s):
         return _exp(self.mean * math.expm1(s))
@@ -1119,9 +1008,6 @@ class Poisson(ScalarLaw):
 
     def log_abs_mean(self):
         raise PreconditionError("log moment undefined: P{X = 0} > 0")
-
-    def log_plus_abs_moment(self):
-        return self._series(lambda k: np.log(np.log(k)), 2)
 
 
 @dataclass(frozen=True)
@@ -1142,11 +1028,6 @@ class InverseGamma(ScalarLaw):
 
     def _finish(self, raw):
         return self.scale / raw
-
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return float(special.gammaincc(self.shape, self.scale / x))
 
     def support(self):
         return (0.0, math.inf)
@@ -1176,11 +1057,6 @@ class InverseGamma(ScalarLaw):
         if self.shape < _DIGAMMA_SERIES:
             return math.log(self.scale) - float(special.digamma(self.shape))
         return -_digamma_minus_log_of(self.shape, self.scale)
-
-    def log_plus_abs_moment(self):
-        # log X = c - T for T = log(G / shape): E (c - T) over T < c
-        c = _log_ratio(self.scale, self.shape)
-        return _log_gamma_mean(self.shape, lambda t: np.log(c - t), c, math.inf, hi=c)
 
 
 @dataclass(frozen=True)
@@ -1245,11 +1121,6 @@ class LogPareto(ScalarLaw):
         with np.errstate(over="ignore"):
             return np.exp(1.0 + raw)
 
-    def cdf(self, x):
-        if x <= math.e:
-            return 0.0
-        return 1.0 - math.log(x) ** (-self.index)
-
     def support(self):
         return (math.e, math.inf)
 
@@ -1282,8 +1153,8 @@ class LogPareto(ScalarLaw):
         a = self.index
         return a / (a - 1.0) if a > 1 else math.inf
 
-    def log_plus_abs_moment(self):
-        return self.log_abs_mean()
+    def log_plus_abs_finite(self):
+        return self.index > 1
 
 
 FAMILIES = {
@@ -1463,37 +1334,37 @@ JointLaw = Union[Independent, FiniteJoint]
 # module-level operations
 
 
-def event_prob(joint: JointLaw, event: str) -> float:
-    """Probability of a structural event such as "M=0" or "|M|<=1"."""
-    m = joint.marginal_m()
-    q = joint.marginal_q()
-    if event == "M=0":
-        return m.point_prob(0.0)
-    if event == "M=1":
-        return m.point_prob(1.0)
-    if event == "M=-1":
-        return m.point_prob(-1.0)
-    if event == "|M|=1":
-        return m.point_prob(1.0) + m.point_prob(-1.0)
-    if event == "|M|<1":
-        return m.prob_abs_lt(1.0)
-    if event == "|M|<=1":
-        return m.prob_abs_le(1.0)
-    if event == "|M|>1":
-        return m.prob_abs_gt(1.0)
-    if event == "Q=0":
-        return q.point_prob(0.0)
-    raise PreconditionError(f"unknown event {event!r}; valid events: {', '.join(EVENTS)}")
+def _abs_may_exceed_one(law: ScalarLaw) -> bool:
+    """Whether P{|X| > 1} > 0: whether the support reaches past -1 or 1.
+
+    Exact for every family (see ``ScalarLaw.support``); an atom law's
+    support is the hull of its atoms, so it reaches past +-1 only at an atom.
+    """
+    lo, hi = law.support()
+    return lo < -1.0 or hi > 1.0
+
+
+def _abs_may_equal_one(law: ScalarLaw) -> bool:
+    """Whether P{|X| = 1} > 0."""
+    return law.has_atom_at(1.0) or law.has_atom_at(-1.0)
+
+
+def _abs_may_fall_below_one(law: ScalarLaw) -> bool:
+    """Whether P{|X| < 1} > 0: an atom in (-1, 1), or a support that meets it."""
+    atoms = law.finite_atoms()
+    if atoms is not None:
+        return any(abs(v) < 1.0 for v, _ in atoms)
+    lo, hi = law.support()
+    return lo < 1.0 and hi > -1.0
 
 
 def _abs_below_one(law: ScalarLaw) -> bool:
-    """Whether P{|X| < 1} = 1, read off the support and the atoms at +-1.
+    """Whether P{|X| < 1} = 1: no support past +-1 and no atom at +-1.
 
-    A probability computed as 1 may have rounded a positive remainder away;
-    the support bounds and the atom probabilities are exact.
+    Both tests are exact, where a probability computed as 1 may have
+    rounded a positive remainder away.
     """
-    lo, hi = law.support()
-    return -1.0 <= lo and hi <= 1.0 and law.point_prob(1.0) == law.point_prob(-1.0) == 0.0
+    return not (_abs_may_exceed_one(law) or _abs_may_equal_one(law))
 
 
 # --------------------------------------------------------------------------

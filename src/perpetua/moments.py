@@ -29,7 +29,8 @@ from types import MappingProxyType
 
 from .errors import PreconditionError
 from .existence import VERDICT_CONVERGES, existence_report
-from .laws import JointLaw, ScalarLaw, _abs_below_one, event_prob
+from .laws import (JointLaw, ScalarLaw, _abs_below_one, _abs_may_equal_one,
+                   _abs_may_exceed_one, _abs_may_fall_below_one)
 
 REGIME_CONTRACTING = "all-contracting"
 REGIME_BOUNDARY = "boundary"
@@ -105,15 +106,18 @@ def _require_nondegenerate(joint: JointLaw, what: str) -> None:
 def classify_regime(joint: JointLaw) -> str:
     """Position of |M| relative to 1: all-contracting, boundary, or expanding.
 
-    Each branch tests an event for probability exactly zero rather than its
-    complement for exactly one, so finite laws whose probabilities add up to
-    1 only within rounding keep their regime.
+    Each branch asks whether an event has positive probability, and answers
+    from M's support and atoms, never from a probability.  So a tail beyond
+    1 that 1 - P{M <= 1} rounds to 0, as P{M > 1} = e^-40 of
+    exponential(40), still makes the regime expanding, and finite laws whose
+    probabilities add up to 1 only within rounding keep their regime.
     """
-    if event_prob(joint, "|M|>1") > 0.0:
+    law_m = joint.marginal_m()
+    if _abs_may_exceed_one(law_m):
         return REGIME_EXPANDING
-    if event_prob(joint, "|M|=1") == 0.0:
+    if not _abs_may_equal_one(law_m):
         return REGIME_CONTRACTING
-    if event_prob(joint, "|M|<1") > 0.0:
+    if _abs_may_fall_below_one(law_m):
         return REGIME_BOUNDARY
     raise PreconditionError("|M| = 1 a.s.: no exponential-moment regime applies")
 
@@ -231,8 +235,8 @@ def exp_perpetuity_moment(a: float, law_m: ScalarLaw, n: int) -> float:
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
     if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
         raise PreconditionError(f"a must be a finite real > 0, got {a!r}")
-    lo, _hi = law_m.support()
-    if lo < 0 or law_m.prob_abs_gt(1.0) > 0.0:
+    lo, hi = law_m.support()
+    if lo < 0 or hi > 1:
         raise PreconditionError("exp_perpetuity_moment requires P{0 <= M <= 1} = 1")
     if law_m.abs_moment(1.0) >= 1.0:
         raise PreconditionError("exp_perpetuity_moment requires E M < 1")

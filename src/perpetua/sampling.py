@@ -526,7 +526,7 @@ def atom_scan(emp: EmpiricalDistribution, min_prob: float) -> list[tuple[float, 
         return []
     vals, counts = np.unique(emp.samples, return_counts=True)
     freq = counts / emp.n
-    keep = freq >= min_prob
+    keep = (counts >= 2) & (freq >= min_prob)
     order = np.argsort(-counts[keep], kind="stable")
     return [(float(v), float(f)) for v, f in
             zip(vals[keep][order], freq[keep][order])]
@@ -534,7 +534,6 @@ def atom_scan(emp: EmpiricalDistribution, min_prob: float) -> list[tuple[float, 
 
 def to_csv(emp: EmpiricalDistribution, path) -> None:
     """Write one sample per line under the header ``z`` at full precision."""
+    body = "\n".join(map(repr, emp.samples.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("z\n")
-        for v in emp.samples:
-            fh.write(f"{float(v)!r}\n")
+        fh.write("z\n" + body + ("\n" if body else ""))

@@ -5,7 +5,7 @@ functional's values over a fixed argument grid, each float written with
 ``float.hex`` and each raised error as ``!<ErrorClass>``.  It covers all
 twelve families over the parameter ranges of ``perfbench/configs.py``, the
 two ``FiniteJoint`` laws of ``tests/test_sampling_bytes.py`` (their
-marginals, ``event_prob`` over ``EVENTS`` and ``restricted_exp_moment``), and
+marginals and ``restricted_exp_moment``), and
 the SHA-256 of the compact ``analyze --json`` output for a fixed config list.
 Regenerate the table with
 
@@ -24,11 +24,11 @@ import tempfile
 import pytest
 
 from perpetua.cli import main
-from perpetua.laws import (EVENTS, FAMILIES, Beta, Exponential, FiniteDiscrete,
+from perpetua.laws import (FAMILIES, Beta, Exponential, FiniteDiscrete,
                            FiniteJoint, Gamma, Independent, InverseGamma,
                            LogPareto, PointMass, Poisson, SignedRademacher,
                            UniformContinuous, UniformDiscreteRange, Weibull,
-                           event_prob, joint_to_json)
+                           joint_to_json)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "analysis_golden.json")
 
@@ -69,7 +69,6 @@ JOINTS = {
 }
 
 XS = (-3.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 10.0)
-US = (0.0, 0.5, 1.0, 2.0, 3.0)
 PS = (0.5, 1.0, 2.0, 3.5, 40.0)
 SS = (-2.0, -0.5, 0.0, 0.1, 0.5, 2.0)
 
@@ -152,17 +151,14 @@ def _grid(fn, args):
 
 def law_rows(name, law):
     rows = {
-        "cdf": _grid(law.cdf, [(x,) for x in XS]),
         "point_prob": _grid(law.point_prob, [(x,) for x in XS]),
-        "prob_abs_lt": _grid(law.prob_abs_lt, [(u,) for u in US]),
-        "prob_abs_le": _grid(law.prob_abs_le, [(u,) for u in US]),
-        "prob_abs_gt": _grid(law.prob_abs_gt, [(u,) for u in US]),
+        "has_atom_at": _grid(law.has_atom_at, [(x,) for x in XS]),
         "support": _call(law.support),
         "abs_moment": _grid(law.abs_moment, [(p,) for p in PS]),
         "exp_moment": _grid(law.exp_moment, [(s,) for s in SS]),
         "exp_abscissa": _call(law.exp_abscissa),
         "log_abs_mean": _call(law.log_abs_mean),
-        "log_plus_abs_moment": _call(law.log_plus_abs_moment),
+        "log_plus_abs_finite": _call(law.log_plus_abs_finite),
         "as_point": _call(law.as_point),
         "finite_atoms": _call(law.finite_atoms),
         "params_json": _call(law.params_json),
@@ -192,8 +188,6 @@ def golden_rows():
         rows.update(law_rows(_law_name(law), law))
     for name, joint in JOINTS.items():
         rows[f"{name}.to_json"] = json.dumps(joint_to_json(joint), separators=(",", ":"))
-        rows[f"{name}.event_prob"] = _grid(lambda e: event_prob(joint, e),
-                                           [(e,) for e in EVENTS])
         rows[f"{name}.restricted_exp_moment"] = _grid(
             lambda s, sign, atom: joint.restricted_exp_moment(s, sign, atom),
             [(s, sign, atom) for s in (0.0, 0.5, 2.0) for sign in (-1, 1)
@@ -235,7 +229,7 @@ def test_log_minus_mean_is_finite_without_an_atom_at_zero():
     # P{M = 0} = 0; a family without it would get a wrong verdict
     marginals = [law for j in JOINTS.values() for law in (j.marginal_m(), j.marginal_q())]
     for law in LAWS + marginals:
-        if law.point_prob(0.0) == 0.0:
+        if not law.has_atom_at(0.0):
             assert law.log_abs_mean() > -math.inf, law
 
 

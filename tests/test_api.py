@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -35,3 +36,11 @@ def test_import_loads_no_scipy_stats():
 def test_import_loads_no_scipy_integrate():
     # the package integrates with its own tanh-sinh rule
     assert _loads_in_fresh_interpreter("scipy.integrate") == "False"
+
+
+def test_laws_uses_only_four_scipy_special_functions():
+    # the inventory a runtime without scipy must replace
+    tree = ast.parse(Path(perpetua.__file__).with_name("laws.py").read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "special"}
+    assert used == {"gammaln", "digamma", "zeta", "hyp1f1"}

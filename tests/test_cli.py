@@ -347,6 +347,39 @@ def test_analyze_gamma_with_unit_mean_has_no_finite_moment(shape, tmp_path, caps
     assert report["moments"][0]["m_pow"] == 1.0
 
 
+# P{M > 1} is e^-40, 4.2e-18 and 1.2e-65 for the first three, which
+# 1 - P{M <= 1} rounded to 0: they read all-contracting with r_Z = 1, while
+# weibull(1, 0.025), the same law as exponential(40), read expanding
+@pytest.mark.parametrize("law", [
+    {"family": "exponential", "params": {"rate": 40.0}},
+    {"family": "gamma", "params": {"shape": 1.0, "rate": 40.0}},
+    {"family": "inverse_gamma", "params": {"shape": 50.0, "scale": 1.0}},
+    {"family": "weibull", "params": {"shape": 1.0, "scale": 0.025}},
+], ids=lambda law: law["family"])
+def test_analyze_tiny_tail_beyond_one_is_expanding(law, tmp_path, capsys):
+    report = _analyze_clean(tmp_path, capsys, {"coupling": "independent", "M": law, "Q": EXP_ONE})
+    assert report["existence"]["verdict"] == "converges-a.s."
+    assert (report["abscissa"]["regime"], report["abscissa"]["r_Z"]) == ("expanding", 0.0)
+
+
+# P{M = 0} = e^-800 underflows to 0: existence asked for E log M instead and
+# the config exited 2 with "log moment undefined"
+def test_analyze_poisson_with_an_underflowing_atom_at_zero_stops_exactly(tmp_path, capsys):
+    law = {"family": "poisson", "params": {"mean": 800.0}}
+    report = _analyze_clean(tmp_path, capsys, {"coupling": "independent", "M": law, "Q": EXP_ONE})
+    assert report["existence"]["verdict"] == "exact-stop"
+
+
+def test_analyze_lists_only_repeated_values_as_atoms(tmp_path, capsys):
+    # below n = 100 every lone sample had a frequency of at least 0.01
+    u_exp = {"coupling": "independent", "M": UNIFORM_01, "Q": EXP_ONE}
+    assert main(["analyze", _write(tmp_path, u_exp), "--n", "10", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sample_summary"]["atoms"] == []
+    assert main(["analyze", _write(tmp_path, GEOMETRIC), "--n", "10", "--json"]) == 0
+    atoms = json.loads(capsys.readouterr().out)["sample_summary"]["atoms"]
+    assert atoms and all(p >= 0.2 for _, p in atoms)
+
+
 def _analyze_moments(tmp_path, capsys, m, q, p):
     cfg = _write(tmp_path, {"coupling": "independent", "M": m, "Q": q})
     assert main(["analyze", cfg, "--p", p, "--json"]) == 0

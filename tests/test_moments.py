@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from scipy import special
 
 from perpetua.errors import PreconditionError
+from perpetua.existence import VERDICT_CONVERGES, VERDICT_EXACT_STOP, existence_report
 from perpetua.laws import (Beta, Exponential, FiniteDiscrete, FiniteJoint,
-                           Gamma, Independent, PointMass, SignedRademacher,
-                           UniformContinuous, Weibull)
+                           Gamma, Independent, InverseGamma, PointMass,
+                           Poisson, SignedRademacher, UniformContinuous,
+                           Weibull)
 from perpetua.moments import (REGIME_BOUNDARY, REGIME_CONTRACTING,
                               REGIME_EXPANDING, _boundary_feasible,
                               _boundary_terms, cauchy_hadamard_estimate,
@@ -121,12 +123,12 @@ def test_classify_regime_three_ways():
         == REGIME_EXPANDING
     assert classify_regime(ROUNDED_CONTRACTING) == REGIME_CONTRACTING
     assert classify_regime(ROUNDED_BOUNDARY) == REGIME_BOUNDARY
-    # P{M > 1} = e^-66 here, which 1 - cdf(1) rounds to 0
+    # P{M > 1} = e^-66 here, which 1 - P{M <= 1} rounds to 0; the support keeps it
     assert classify_regime(Independent(Weibull(2.0, 66.0 ** -0.5), Exponential(1.0))) \
         == REGIME_EXPANDING
     with pytest.raises(PreconditionError):
         classify_regime(Independent(SignedRademacher(1.0), Exponential(1.0)))
-    # cdf(1) - P{M=1} - cdf(-1) leaves 5.6e-17 here; the atoms leave 0
+    # the probabilities add up to 1 only within rounding; no atom lies in (-1, 1)
     with pytest.raises(PreconditionError):
         classify_regime(
             Independent(FiniteDiscrete((-1.0, 1.0), (0.3, 0.7)), Exponential(1.0)))
@@ -289,6 +291,8 @@ def test_exp_moment_formula_preconditions():
         exp_perpetuity_moment(1.0, PointMass(1.5), 1)
     with pytest.raises(PreconditionError):
         exp_perpetuity_moment(1.0, UniformContinuous(-0.5, 0.5), 1)
+    with pytest.raises(PreconditionError):  # P{M > 1} = e^-40, which 1 - P{M <= 1} rounds to 0
+        exp_perpetuity_moment(1.0, Exponential(40.0), 1)
 
 
 def test_cauchy_hadamard_from_exact_uniform_moments():
@@ -352,3 +356,40 @@ def test_regimes_are_exclusive_and_exhaustive():
     for j in joints:
         assert classify_regime(j) in (REGIME_CONTRACTING, REGIME_BOUNDARY,
                                       REGIME_EXPANDING)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+# every family whose mass beyond 1, or at 0, can be below 1e-300: P{X > 1}
+# is e^-rate of exponential, below e^-900 for gamma (shape <= 10, rate >=
+# 1e3), below scale^shape <= 1e-350 for inverse_gamma and e^-(1/scale)^shape
+# <= e^-1000 for weibull; P{X = 0} is e^-mean of poisson, and finite_discrete
+# carries an atom of probability 1e-310
+_TINY_TAILS = st.one_of(
+    _log_uniform(700.0, 1e300).map(Exponential),
+    st.builds(Gamma, st.floats(min_value=0.1, max_value=10.0), _log_uniform(1e3, 1e300)),
+    st.builds(InverseGamma, st.floats(min_value=50.0, max_value=1e3), _log_uniform(1e-300, 1e-7)),
+    st.builds(Weibull, st.floats(min_value=0.5, max_value=5.0), _log_uniform(1e-300, 1e-6)),
+    _log_uniform(700.0, 1e18).map(Poisson),
+    st.sampled_from([0.0, 2.0, -1.5]).map(
+        lambda v: FiniteDiscrete((v, 0.5), (1e-310, 1.0))),
+)
+
+
+@given(_TINY_TAILS)
+@settings(max_examples=60, deadline=None)
+def test_tiny_tails_and_atoms_decide_regime_and_verdict(law_m):
+    # existence and the regime follow the support and the atoms, however
+    # small the probability beyond 1 or at 0: below 1e-300 every probability
+    # computed from a cdf or a pmf rounds to 0
+    joint = Independent(law_m, Exponential(1.0))
+    rep = existence_report(joint)
+    lo, hi = law_m.support()
+    if law_m.has_atom_at(0.0):
+        assert (rep.verdict, rep.nonzero_ok) == (VERDICT_EXACT_STOP, False)
+        return
+    assert (lo < -1.0 or hi > 1.0) and rep.verdict == VERDICT_CONVERGES
+    res = r_of_perpetuity(joint)
+    assert (res.regime, res.r_z) == (REGIME_EXPANDING, 0.0)

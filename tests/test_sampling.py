@@ -423,6 +423,15 @@ def test_to_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back, emp.samples)
 
 
+def test_to_csv_bytes_match_one_write_per_sample(tmp_path):
+    # the file is one join; the reference is the per-sample loop it replaced
+    emp = _emp([-0.0, 5e-324, 1e308, math.inf, -math.inf, 0.1, -2.5, 1.0 / 3.0])
+    path = tmp_path / "z.csv"
+    to_csv(emp, path)
+    want = "z\n" + "".join(f"{float(v)!r}\n" for v in emp.samples)
+    assert path.read_bytes() == want.encode("ascii")
+
+
 def test_to_csv_empty_batch(tmp_path):
     emp = sample_batch(PerpetuityConfig(U_EXP, seed=8), 0)
     path = tmp_path / "empty.csv"
