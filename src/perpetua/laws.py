@@ -28,23 +28,24 @@ Where each functional comes from:
   its last three sums predict, d_k^2 / d_{k-1} with d_k = |S_k - S_{k-1}|,
   is below 1e-14 of the mean, or at level 8.  scipy.special is the only
   scipy module the package imports.  E e^{sX} keeps its closed forms at
-  s = 0, for weibull shape 1 and where s > 0 has no finite moment.  E|X|^p
-  of exponential, gamma, inverse_gamma and beta is one log-Gamma ratio,
-  ``_log_gamma_ratio``, or a difference of two for beta.  E log M of
-  beta(a, b) switches to a large-a expansion, and to a series in b for
+  s = 0, for weibull shape 1 and where s > 0 has no finite moment.  E log M
+  of beta(a, b) switches to a large-a expansion, and to a series in b for
   b << a, where the closed form cancels.
-- poisson: closed forms for the pmf and E e^{sX}; E|X|^p sums a window
-  around the mean, integer by integer or, for a large mean, by the
-  trapezoid rule.
+- poisson: closed forms for the pmf and E e^{sX}.
 - uniform_discrete_range: closed forms; E|X|^p is an exact sum up to 2^16
   atoms and an Euler-Maclaurin expansion above.
+- E|X|^p: each family defines the one of ``abs_moment`` and
+  ``_log_abs_moment`` that it computes, and ``ScalarLaw`` derives the other.
+  The log-Gamma-ratio families (``_log_gamma_ratio``), weibull, poisson and
+  log_pareto give the log, so a moment within rounding of 1 keeps the sign
+  of its log; the atom laws, uniform and uniform_discrete_range the moment.
 - Whether |X| exceeds, equals or falls below 1 with positive probability is
   read off ``support()`` and the atoms, never off a probability that may
   round to 0 or 1 (``_abs_may_exceed_one`` and its neighbours).
 - params_json reads the dataclass fields.
 
-A moment beyond the float range raises OverflowError.  All laws are frozen,
-hashable value types with a stable JSON form.
+A finite moment beyond the float range raises OverflowError.  All laws are
+frozen, hashable value types with a stable JSON form.
 """
 from __future__ import annotations
 
@@ -111,10 +112,14 @@ def _exp(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _log_ratio(x: float, y: float) -> float:
-    """log(x / y) for x, y > 0, rounded once where x / y is a normal float."""
-    q = x / y
-    return math.log(q) if _FLOAT_TINY <= q < math.inf else math.log(x) - math.log(y)
+def _log_ratio(x: float, y: float, d: float = 0.0) -> float:
+    """log((x + d) / y) for x + d, y > 0: the quotient rounded once where it is
+    a normal float, and what x + d rounds off added back (Knuth's two-sum)."""
+    s = x + d
+    b = s - x
+    q = s / y
+    log = math.log(q) if _FLOAT_TINY <= q < math.inf else math.log(s) - math.log(y)
+    return log + ((x - (s - b)) + (d - b)) / s
 
 
 # below |t| = 1/4 the terms of e^t - 1 - t through t^14 reach 1e-18 relative
@@ -343,58 +348,79 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-def _stirling_series(k):
-    """The asymptotic series of ``_stirling_remainder``, for k >= 30."""
-    k2 = k * k
-    return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
-
-
 def _stirling_remainder(k, log_k):
     """log Gamma(k) - ((k - 1/2) log k - k + log(2 pi)/2), which is also
     log k! - ((k + 1/2) log k - k + log(2 pi)/2); a series for k >= 30."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the unused branch
-        return np.where(k >= 30.0, _stirling_series(k),
+        k2 = k * k
+        series = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / k
+        return np.where(k >= 30.0, series,
                         special.gammaln(k + 1.0) - (k + 0.5) * log_k + k - _HALF_LOG_2PI)
 
 
 # below t = 1/64 the terms of log1p(t) - t through t^11 reach 1e-19 relative
 _LOG1P_MINUS_TAYLOR = tuple((-1.0) ** (n + 1) / n for n in range(11, 1, -1))
+# Stirling's series sum_n B_2n / (2n (2n - 1) z^(2n - 1)) of the remainder;
+# from z = _STIRLING_FROM on its first eight terms reach 2e-18 of it
+_STIRLING_FROM = 10.0
+_STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+                    1 / 156, -3617 / 122400)
+
+
+def _log1p_ratio(a: float, b: float) -> float:
+    """log(1 + a / b) for b > 0 and a > -b, also where a / b overflows or
+    rounds next to -1; below a = -b / 2, a + b is exact."""
+    return math.log1p(a / b) if -0.5 * b < a < b else _log_ratio(a + b, b)
 
 
 def _log_gamma_ratio(x: float, p: float, y: float = 1.0) -> float:
-    """log Gamma(x + p) - log Gamma(x) - p log y for x, y > 0 and p >= 0.
+    """log Gamma(x + p) - log Gamma(x) - p log y for x, y > 0 and x + p > 0.
 
-    Below p = 64 the integer part of p is exact steps Gamma(x + 1) = x Gamma(x),
-    an fsum of log((x + j) / y), so a unit mean E G, G ~ Gamma(a, a), is exactly
-    e^0.  Below x = 30 the rest is a ``gammaln`` difference; from 30 on it is
-    Stirling's formula differenced term by term, with t = p / x and R =
-    ``_stirling_series``: x (log1p(t) - t) - log1p(t) / 2 + p (log1p(t) +
-    log(x / y)) + R(x + p) - R(x), with log1p(t) - t a series below t = 1/64.
+    Below |p| = 64 the integer part n of p is exact steps Gamma(z + 1) =
+    z Gamma(z) down from z = x + p, an fsum of +-log((x + p - n + j) / y) by
+    ``_log_ratio``, so a unit mean E G, G ~ Gamma(a, a), is exactly e^0.  The
+    rest is shifted up by steps -log1p(p / (x + j)) until x and x + p reach
+    _STIRLING_FROM, and then is Stirling's formula differenced term by term,
+    with t = p / x: x (log1p(t) - t) - log1p(t) / 2 + p (log1p(t) +
+    log(x / y)) plus the series' difference, with log1p(t) - t a series below
+    |t| = 1/64.  No step rounds x + p against x, so a tiny p keeps its digits.
     """
     total = 0.0
-    if 1.0 <= p < 64.0:
+    if 1.0 <= abs(p) < 64.0:
         n = int(p)
-        total = math.fsum([_log_ratio(x + j, y) for j in range(n)])
-        x, p = x + n, p - n
+        p -= n
+        steps = [_log_ratio(x, y, p + j) for j in range(min(n, 0), max(n, 0))]
+        total = math.copysign(1.0, n) * math.fsum(steps)
         if p == 0.0:
             return total
-    if x < 30.0:
-        return total + float(special.gammaln(x + p) - special.gammaln(x)) - p * math.log(y)
+    up = max(0, math.ceil(_STIRLING_FROM - min(x, x + p)))
+    total -= sum([_log1p_ratio(p, x + j) for j in range(up)])
+    x += up
     t = p / x
     log1p_t = math.log1p(t)
-    if t < 1.0 / 64.0:
+    if abs(t) < 1.0 / 64.0:
         acc = _LOG1P_MINUS_TAYLOR[0]
         for c in _LOG1P_MINUS_TAYLOR[1:]:
             acc = acc * t + c
         shift = p * t * acc  # x (log1p(t) - t), whose leading term is -x t^2 / 2
     else:
         shift = x * (log1p_t - t)
-    return (total + shift - 0.5 * log1p_t + p * (log1p_t + _log_ratio(x, y))
-            + (_stirling_series(x + p) - _stirling_series(x)))
+    # with u = 1/x and v = 1/(x + p), v^m - u^m = (v - u) s_m for s_m =
+    # sum_i u^i v^(m-1-i), s_(m+2) = v^2 s_m + u^m (u + v), and v - u = -t v
+    u, v = 1.0 / x, 1.0 / (x + p)
+    s, u_m, series = 1.0, u, _STIRLING_COEFFS[0]
+    for c in _STIRLING_COEFFS[1:]:
+        s = v * v * s + u_m * (u + v)
+        u_m *= u * u
+        series += c * s
+    return total + shift - 0.5 * log1p_t + p * (log1p_t + _log_ratio(x, y)) - t * v * series
 
 
 def _moment_from_log(log: float) -> float:
-    """e^log of a log-moment; OverflowError past the float range or at nan."""
+    """e^log of a log-moment: inf for an infinite moment, OverflowError for a
+    finite one past the float range or at nan."""
+    if log == math.inf:
+        return math.inf
     if not log <= _LOG_FLOAT_MAX:
         raise OverflowError("moment exceeds the float range")
     return math.exp(log)
@@ -471,9 +497,28 @@ class ScalarLaw:
 
     # -- moments ----------------------------------------------------------
 
+    # a family defines one of the next two, and the other is derived from it
+
     def abs_moment(self, p: float) -> float:
-        """E |X|^p for p > 0; may be infinite."""
-        raise NotImplementedError
+        """E |X|^p for p > 0; may be infinite, and raises OverflowError where
+        it is finite but past the float range."""
+        self._check_p(p)
+        return _moment_from_log(self._log_abs_moment(p))
+
+    def _log_abs_moment(self, p: float) -> float:
+        """log E |X|^p for p > 0: -inf for a moment of 0, inf for an infinite one."""
+        moment = self.abs_moment(p)
+        return math.log(moment) if moment > 0.0 else -math.inf
+
+    def _moment_and_log(self, p: float) -> tuple[float, float]:
+        """E |X|^p as ``abs_moment`` gives it and its log, from the one of the
+        two that the family defines.  A moment that rounded to 0 is below
+        2^-1074, whose log it takes, so that a bound built on it stays one."""
+        if type(self).abs_moment is ScalarLaw.abs_moment:
+            log = self._log_abs_moment(p)
+            return _moment_from_log(log), log
+        moment = self.abs_moment(p)
+        return moment, math.log(moment or math.ulp(0.0))
 
     def exp_moment(self, s: float) -> float:
         """E e^{sX}; may be infinite."""
@@ -772,9 +817,8 @@ class Exponential(ScalarLaw):
     def support(self):
         return (0.0, math.inf)
 
-    def abs_moment(self, p):
-        self._check_p(p)
-        return _moment_from_log(_log_gamma_ratio(1.0, p, self.rate))
+    def _log_abs_moment(self, p):
+        return _log_gamma_ratio(1.0, p, self.rate)
 
     def exp_moment(self, s):
         if s >= self.rate:
@@ -808,9 +852,8 @@ class Gamma(ScalarLaw):
     def support(self):
         return (0.0, math.inf)
 
-    def abs_moment(self, p):
-        self._check_p(p)
-        return _moment_from_log(_log_gamma_ratio(self.shape, p, self.rate))
+    def _log_abs_moment(self, p):
+        return _log_gamma_ratio(self.shape, p, self.rate)
 
     def exp_moment(self, s):
         r = self.rate
@@ -847,12 +890,20 @@ class Beta(ScalarLaw):
     def support(self):
         return (0.0, 1.0)
 
-    def abs_moment(self, p):
-        self._check_p(p)
-        # B(a + p, b) / B(a, b) = Gamma(a + p) Gamma(a + b) / (Gamma(a) Gamma(a + b + p)):
-        # two log-Gamma ratios, stepping by the smaller of p and b
-        a, step, y = self.alpha, min(p, self.beta), self.alpha + max(p, self.beta)
-        return _moment_from_log(_log_gamma_ratio(a, step, y) - _log_gamma_ratio(y, step, y))
+    def _log_abs_moment(self, p):
+        # B(a + p, b) / B(a, b) = Gamma(a + p) Gamma(a + b) / (Gamma(a) Gamma(a + b + p)),
+        # symmetric in p and b: log-Gamma ratios stepping by the smaller from a
+        # and y = a + gap, and step log(y / a) as log1p(gap / a), unrounded.
+        # Below _STIRLING_FROM both ratios shift a up by the same steps, whose
+        # difference log1p(step gap / ((a + j) (a + gap + j + step))) is taken
+        # whole: apart, the two cancel when step and gap are both tiny
+        a, step, gap = self.alpha, min(p, self.beta), max(p, self.beta)
+        up = max(0, math.ceil(_STIRLING_FROM - a))
+        total = -sum([_log1p_ratio(step * (gap / (a + j + gap + step)), a + j) for j in range(up)])
+        a += up
+        y = a + gap
+        return (total + _log_gamma_ratio(a, step, a) - _log_gamma_ratio(y, step, y)
+                - step * _log1p_ratio(gap, a))
 
     def exp_moment(self, s):
         return float(special.hyp1f1(self.alpha, self.alpha + self.beta, s))
@@ -903,10 +954,9 @@ class Weibull(ScalarLaw):
     def support(self):
         return (0.0, math.inf)
 
-    def abs_moment(self, p):
-        self._check_p(p)
-        return _moment_from_log(p * math.log(self.scale)
-                                + float(special.gammaln(1.0 + p / self.shape)))
+    def _log_abs_moment(self, p):
+        # E X^p = scale^p Gamma(1 + p / shape)
+        return p * math.log(self.scale) + _log_gamma_ratio(1.0, p / self.shape)
 
     def exp_moment(self, s):
         k, lam = self.shape, self.scale
@@ -969,8 +1019,8 @@ class Poisson(ScalarLaw):
     def support(self):
         return (0.0, math.inf)
 
-    def abs_moment(self, p):
-        """E X^p; OverflowError past the float range.
+    def _log_abs_moment(self, p):
+        """log E X^p.
 
         The summand k^p P{X = k} is log-concave in k.  Offsets d = k - mean
         within +-(40 sqrt(mean) + 60) hold all of it but e^-700; the window
@@ -978,9 +1028,9 @@ class Poisson(ScalarLaw):
         _POISSON_NODES integers are summed one by one.  A wider window means
         a mean above 2400, where the summand is smooth on the scale
         sqrt(mean) > 49, and the trapezoid rule on _POISSON_NODES equally
-        spaced offsets (steps >= 1) sums it to rounding error.
+        spaced offsets (steps >= 1) sums it to rounding error.  The window
+        stops widening once one term alone is past the float range.
         """
-        self._check_p(p)
         lam = self.mean
         d_hi = 40.0 * math.sqrt(lam) + 60.0
         d_lo = max(1.0 - lam, -d_hi)
@@ -993,12 +1043,10 @@ class Poisson(ScalarLaw):
                 k = lam + d
             log_terms = p * np.log(k) + _poisson_log_pmf(k, d, lam)
             top = float(log_terms.max())
-            if top > _LOG_FLOAT_MAX:  # one term alone is out of range
-                raise OverflowError("moment exceeds the float range")
-            if log_terms[-1] < top - 80.0:
+            if log_terms[-1] < top - 80.0 or top > _LOG_FLOAT_MAX:
                 break
             d_hi *= 2.0
-        return math.exp(top + math.log(step * float(np.sum(np.exp(log_terms - top)))))
+        return top + math.log(step * float(np.sum(np.exp(log_terms - top))))
 
     def exp_moment(self, s):
         return _exp(self.mean * math.expm1(s))
@@ -1032,12 +1080,12 @@ class InverseGamma(ScalarLaw):
     def support(self):
         return (0.0, math.inf)
 
-    def abs_moment(self, p):
-        self._check_p(p)
+    def _log_abs_moment(self, p):
         a = self.shape
         if p >= a:
             return math.inf
-        return _moment_from_log(-_log_gamma_ratio(a - p, p, self.scale))
+        # E X^p = scale^p Gamma(a - p) / Gamma(a), from x = a, which is exact
+        return _log_gamma_ratio(a, -p, self.scale)
 
     def exp_moment(self, s):
         # no positive exponential moment
@@ -1124,8 +1172,7 @@ class LogPareto(ScalarLaw):
     def support(self):
         return (math.e, math.inf)
 
-    def abs_moment(self, p):
-        self._check_p(p)
+    def _log_abs_moment(self, p):
         # E e^{pW} with W power-tailed is infinite for every p > 0
         return math.inf
 

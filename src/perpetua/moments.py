@@ -4,7 +4,9 @@ For p > 0 the perpetuity has a finite p-th absolute moment exactly when
 E|M|^p < 1 and E|Q|^p < inf (given the nonzero and nondegeneracy
 conditions), and the dominating series Z* = sum |Pi_{k-1} Q_k| obeys the
 explicit bounds E(Z*)^p <= E|Q|^p / (1 - E|M|^p) for p <= 1 and
-(||Q||_p / (1 - ||M||_p))^p for p > 1.
+(||Q||_p / (1 - ||M||_p))^p for p > 1.  The verdict reads the sign of
+log E|M|^p, and the bound -expm1 of it, so a moment within rounding of 1
+keeps both.
 
 Exponential moments depend on how |M| sits relative to 1.  When |M| < 1
 a.s. the abscissa of convergence r(Z) = sup{s : E e^{s|Z|} < inf} equals
@@ -20,7 +22,6 @@ bisection.  Any mass of |M| above 1 kills all exponential moments (r_Z = 0).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from types import MappingProxyType
 
 from .errors import PreconditionError
 from .existence import VERDICT_CONVERGES, existence_report
-from .laws import (JointLaw, ScalarLaw, _abs_below_one, _abs_may_equal_one,
+from .laws import (_LOG_FLOAT_MAX, JointLaw, ScalarLaw, _abs_below_one, _abs_may_equal_one,
                    _abs_may_exceed_one, _abs_may_fall_below_one)
 
 REGIME_CONTRACTING = "all-contracting"
@@ -125,24 +126,28 @@ def classify_regime(joint: JointLaw) -> str:
 def p_moment_criterion(joint: JointLaw, p: float) -> MomentReport:
     """Finiteness of E|Z|^p: equivalent to E|M|^p < 1 and E|Q|^p < inf.
 
-    E|M|^p < 1 holds whenever |M| < 1 a.s., also where E|M|^p rounds to 1.
-    ``zstar_bound`` is the bound on E(Z*)^p of the module docstring.
+    E|M|^p < 1 is read from the sign of log E|M|^p, and holds whenever
+    |M| < 1 a.s.  ``zstar_bound`` is the bound on E(Z*)^p of the module
+    docstring, with 1 - E|M|^p as -expm1(log E|M|^p) for p <= 1 and
+    1 - ||M||_p as -expm1(log E|M|^p / p) for p > 1; it saturates to inf.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise PreconditionError(f"p must be a finite real > 0, got {p!r}")
     _require_nondegenerate(joint, "p_moment_criterion")
+    law_m = joint.marginal_m()
     try:
-        m_pow = joint.marginal_m().abs_moment(p)
-        q_pow = joint.marginal_q().abs_moment(p)
+        m_pow, log_m = law_m._moment_and_log(p)
+        q_pow, log_q = joint.marginal_q()._moment_and_log(p)
     except OverflowError:
         raise PreconditionError(
             f"E|M|^p or E|Q|^p exceeds the float range at p = {p!r}") from None
-    finite = (m_pow < 1.0 or _abs_below_one(joint.marginal_m())) and math.isfinite(q_pow)
-    bound = math.inf  # also where E|M|^p or ||M||_p rounds to 1
-    if finite and m_pow < 1.0:
-        with contextlib.suppress(OverflowError, ZeroDivisionError):
-            bound = (q_pow / (1.0 - m_pow) if p <= 1.0
-                     else (q_pow ** (1.0 / p) / (1.0 - m_pow ** (1.0 / p))) ** p)
+    finite = (log_m < 0.0 or _abs_below_one(law_m)) and log_q < math.inf
+    bound = math.inf  # also where |M| < 1 a.s. but log E|M|^p rounds to 0
+    if finite and log_m < 0.0:
+        k = max(p, 1.0)
+        gap = -math.expm1(log_m / k)  # 0 where log_m / k underflows
+        log_bound = log_q - k * math.log(gap) if gap else math.inf
+        bound = math.exp(log_bound) if log_bound <= _LOG_FLOAT_MAX else math.inf
     return MomentReport(float(p), m_pow, q_pow, finite, bound)
 
 
@@ -238,14 +243,12 @@ def exp_perpetuity_moment(a: float, law_m: ScalarLaw, n: int) -> float:
     lo, hi = law_m.support()
     if lo < 0 or hi > 1:
         raise PreconditionError("exp_perpetuity_moment requires P{0 <= M <= 1} = 1")
-    if law_m.abs_moment(1.0) >= 1.0:
-        raise PreconditionError("exp_perpetuity_moment requires E M < 1")
     prod = 1.0
     for k in range(1, n + 1):
-        mk = law_m.abs_moment(float(k))
-        if mk == 1.0:
-            raise PreconditionError(f"E M^{k} = 1: moment formula undefined")
-        prod *= 1.0 - mk
+        log_mk = law_m._log_abs_moment(float(k))
+        if log_mk >= 0.0:
+            raise PreconditionError(f"exp_perpetuity_moment requires E M^{k} < 1")
+        prod *= -math.expm1(log_mk)  # 1 - E M^k
     return math.factorial(n) / (a ** n * prod)
 
 

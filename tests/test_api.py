@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import perpetua
+from perpetua.laws import FAMILIES, ScalarLaw
 
 
 def test_exports_resolve_and_are_distinct():
@@ -44,3 +45,21 @@ def test_laws_uses_only_four_scipy_special_functions():
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "special"}
     assert used == {"gammaln", "digamma", "zeta", "hyp1f1"}
+
+
+def test_log_gamma_ratio_and_weibull_use_no_scipy():
+    tree = ast.parse(Path(perpetua.__file__).with_name("laws.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for name in ("_log_gamma_ratio", "Weibull"):
+        assert [node for node in ast.walk(defs[name])
+                if isinstance(node, ast.Name) and node.id == "special"] == [], name
+
+
+def test_each_family_defines_one_moment_method():
+    # ScalarLaw derives each of the two from the other, so a family that
+    # defines neither would recurse forever
+    for cls in FAMILIES.values():
+        own = [name for name in ("abs_moment", "_log_abs_moment")
+               if getattr(cls, name) is not getattr(ScalarLaw, name)]
+        assert len(own) == 1, (cls.family, own)

@@ -7,6 +7,7 @@ import tempfile
 import time
 import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -380,9 +381,9 @@ def test_analyze_lists_only_repeated_values_as_atoms(tmp_path, capsys):
     assert atoms and all(p >= 0.2 for _, p in atoms)
 
 
-def _analyze_moments(tmp_path, capsys, m, q, p):
+def _analyze_moments(tmp_path, capsys, m, q, *ps):
     cfg = _write(tmp_path, {"coupling": "independent", "M": m, "Q": q})
-    assert main(["analyze", cfg, "--p", p, "--json"]) == 0
+    assert main(["analyze", cfg, *[arg for p in ps for arg in ("--p", p)], "--json"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     return json.loads(captured.out, parse_constant=_reject_constant)["moments"]
@@ -404,6 +405,42 @@ def test_analyze_beta_moments_next_to_one(tmp_path, capsys):
     # divided by zero with a traceback
     (edge,) = _analyze_moments(tmp_path, capsys, beta(1e17, 1.0), half, "10000")
     assert edge["m_pow"] < 1.0 and edge["finite"] and edge["zstar_bound"] == "inf"
+
+
+def _gamma(shape, rate):
+    return {"family": "gamma", "params": {"shape": shape, "rate": rate}}
+
+
+# log E M^p of gamma(1e16, 1e16) is -1.25e-17 at p = 0.5, -5.0e-21 at
+# p = 0.9999 and exactly 0 at p = 1, where E M = 1; all three moments round
+# to 1.0, and a verdict read off the rounded moment gave the first two
+# finite: false with the bound "inf"
+def test_analyze_gamma_moments_within_rounding_of_one_keep_their_verdicts(tmp_path, capsys):
+    reports = _analyze_moments(tmp_path, capsys, _gamma(1e16, 1e16), EXP_ONE, "0.5", "0.9999", "1")
+    assert [(m["m_pow"], m["finite"]) for m in reports] == [(1.0, True), (1.0, True), (1.0, False)]
+    assert [isinstance(m["zstar_bound"], float) for m in reports[:2]] == [True, True]
+    assert reports[2]["zstar_bound"] == "inf"
+
+
+# E M^0.5 of weibull(1e17, 1) is Gamma(1 + 5e-18), whose log is -2.9e-18;
+# the gammaln of 1 + 5e-18, which rounds to 1, gave a log of exactly 0
+def test_analyze_weibull_moment_within_rounding_of_one_is_finite(tmp_path, capsys):
+    weibull = {"family": "weibull", "params": {"shape": 1e17, "scale": 1.0}}
+    (report,) = _analyze_moments(tmp_path, capsys, weibull, EXP_ONE, "0.5")
+    assert (report["m_pow"], report["finite"]) == (1.0, True)
+    assert isinstance(report["zstar_bound"], float)
+
+
+# 1 - E M^0.5 = 1.25e-10 and 1.25e-13, taken from the moment rounded to a
+# float, was 8.3e-8 and 8.9e-5 relative off
+@pytest.mark.parametrize("shape", [1e9, 1e12])
+def test_analyze_bound_next_to_one_matches_mpmath(shape, tmp_path, capsys):
+    (report,) = _analyze_moments(tmp_path, capsys, _gamma(shape, shape), EXP_ONE, "0.5")
+    with mpmath.workdps(60):
+        a = mpmath.mpf(shape)
+        m = mpmath.exp(mpmath.loggamma(a + 0.5) - mpmath.loggamma(a) - 0.5 * mpmath.log(a))
+        want = float(mpmath.gamma(1.5) / (1 - m))
+    assert report["zstar_bound"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _fail_draw_of_stream(monkeypatch, stream_id):

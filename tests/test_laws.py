@@ -654,8 +654,18 @@ def test_weibull_moments_match_mpmath(shape, scale, p):
 # laws whose rate or scale sits next to their shape, where E X or E X^2 is 1
 # or within 1e-9 of it.  The old log-Gamma differences cancelled there:
 # Gamma(1e11, 1e11) gave E X = 0.99969, a finite E|Z| where it is infinite.
+# Weibull's E X^p = scale^p Gamma(1 + p / shape) is the same helper at x = 1.
+# Tiny orders below x = 30, and p / shape down to 5e-18, are where a gammaln
+# difference returned log E X^p = 0: E X^0.5 of Weibull(1e17, 1) rounds to 1
+# but is Gamma(1 + 5e-18) < 1.
 _SWEEP_PARAMS = (1e-300, 1e-10, 0.5, 2.0, 19.0, 1e3, 1e6, 1e12, 1e15, 1e100, 1e300)
 _SWEEP_ORDERS = (0.25, 0.5, 1.0, 2.0, 3.3, 40.0, 1e3, 1e6, 1e10, 1e15, 1e100, 1e300)
+_TINY_ORDERS = (5e-18, 1e-10)
+# inverse_gamma orders next to the shape a, where E X^p = scale^p
+# Gamma(a - p) / Gamma(a) and the first step of the shift, log(1 - p / a),
+# is next to log 0: log1p of the rounded quotient -p / a is 0.3% off there
+# at a = 0.7, p = a (1 - 1e-14)
+_NEAR_SHAPE = (1e-3, 1e-7, 1e-14)
 
 
 def _near_one(a):
@@ -667,7 +677,9 @@ _RATIO_LAWS = list(dict.fromkeys(
      for b in _SWEEP_PARAMS]
     + [cls(a, c) for cls in (Gamma, InverseGamma) for a in (0.4, 2.5, 19.0, 1e3, 1e11, 1e15)
        for c in _near_one(a)]
-    + [Exponential(r) for r in _SWEEP_PARAMS + tuple(_near_one(1.0))]))
+    + [Exponential(r) for r in _SWEEP_PARAMS + tuple(_near_one(1.0))]
+    + [Weibull(k, lam) for k in (1e-10, 0.5, 2.0, 19.0, 1e6, 1e17, 1e300)
+       for lam in (1e-300, 0.5, 1.0, 2.0, 1e300)]))
 
 
 def _log_abs_moment_by_mpmath(law, p):
@@ -680,31 +692,52 @@ def _log_abs_moment_by_mpmath(law, p):
     if isinstance(law, InverseGamma):
         a = mpmath.mpf(law.shape)
         return p * log(law.scale) + lg(a - p) - lg(a) if p < a else mpmath.inf
+    if isinstance(law, Weibull):
+        return p * log(law.scale) + lg(1 + p / law.shape)
     a, b = mpmath.mpf(law.alpha), mpmath.mpf(law.beta)
     return lg(a + p) - lg(a) - lg(a + b + p) + lg(a + b)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
 def test_log_gamma_ratio_moments_match_mpmath():
     misses, checked = [], 0
     for law in _RATIO_LAWS:
         params = list(law.params_json().values())
-        for p in _SWEEP_ORDERS:
-            # 60 digits beyond the magnitude of the log-Gammas that cancel
-            with mpmath.workdps(60 + 2 * int(math.log10(sum(params) + p))):
+        x = 1.0 if isinstance(law, (Exponential, Weibull)) else params[0]
+        near_shape = tuple(x * (1.0 - r) for r in _NEAR_SHAPE) if isinstance(law, InverseGamma) else ()
+        for p in _SWEEP_ORDERS + (_TINY_ORDERS if x < 30.0 else ()) + near_shape:
+            # the order Gamma's argument moves by, whose rounding the log carries
+            step = {Beta: min(params[-1], p), Weibull: max(p, p / params[0])}.get(type(law), p)
+            if not step < math.inf:
+                continue
+            # the log-Gammas that cancel are below 10^(digits + 3); 60 digits
+            # beyond them, and beyond a tiny order, which the log scales with,
+            # up to 700 digits, which resolve every log that a float holds
+            digits = max(0, int(math.log10(sum(params) + max(p, step))))
+            tiny = max(0, -int(math.log10(min(p, step))))
+            with mpmath.workdps(min(60 + 2 * digits + tiny, 700)):
                 log_want = _log_abs_moment_by_mpmath(law, mpmath.mpf(p))
-                if not -690 < log_want < 709:  # E|X|^p is outside the normal floats
-                    continue
-                checked += 1
-                got = law.abs_moment(p)
-                rel = float(abs(mpmath.mpf(got) * mpmath.exp(-log_want) - 1))
-                want = float(mpmath.exp(log_want))
-            step = min(law.beta, p) if isinstance(law, Beta) else p
-            # the moment criterion compares with 1: the verdict must be the
-            # one the correctly rounded moment gives
-            side_ok = (got > 1.0) - (got < 1.0) == (want > 1.0) - (want < 1.0)
-            if not (rel <= max(1e-12, 2.0 ** -48 * step) and side_ok):
-                misses.append((law, p, got, want, rel))
-    assert checked > 2000
+                # an exact 0, as log E G of G ~ Gamma(a, a), comes out about
+                # 10^(digits + 3 - dps) off 0, below every other log of the
+                # grid that a float holds
+                if abs(log_want) < mpmath.mpf(10) ** (digits + 20 - mpmath.mp.dps):
+                    log_want = mpmath.mpf(0)
+                got = law._log_abs_moment(p)
+                err = float(abs(mpmath.mpf(got) - log_want)) if got != log_want else 0.0
+                log_want = float(log_want)
+            checked += 1
+            # where E|X|^p is a normal float, 1e-12 of it, and of a log below 1,
+            # or 2^-48 of the step; elsewhere, 1e-12 of the log.  The moment
+            # criterion reads the sign of the log, which must be exact
+            in_range = -690.0 < log_want < 709.0
+            tol = max(2.0 ** -48 * step,
+                      1e-12 * (min(1.0, abs(log_want)) if in_range else abs(log_want)))
+            if not (err <= tol and _sign(got) == _sign(log_want)):
+                misses.append((law, p, got, log_want, err))
+    assert checked > 5000
     assert misses == []
 
 
