@@ -8,7 +8,10 @@ moments of |X|, exponential moments and their abscissa of convergence,
 atom probabilities and logarithmic moments.  A sampler is one numpy
 generator call per stream key (``_draw``) and an elementwise rest
 (``_finish``), so a joint's ``draw_rows`` makes one call per draw of a wave
-and finishes the whole wave's rows at once.
+and finishes the whole wave's rows at once.  Beta(a, 1) and Beta(1, b)
+invert their cdfs at one ``random()`` block, as U^{1/a} and 1 - U^{1/b}
+(Devroye 1986, ch. II); every other law keeps numpy's sampler for its
+family.
 
 Where each functional comes from:
 
@@ -885,7 +888,20 @@ class Beta(ScalarLaw):
         _require(_finite(self.beta) and self.beta > 0, "beta: beta must be > 0")
 
     def _draw(self, gen, size):
+        if 1.0 in (self.alpha, self.beta):
+            return gen.random(size)
         return gen.beta(self.alpha, self.beta, size)
+
+    def _finish(self, raw):
+        # Beta(a, 1) and Beta(1, b) invert their cdfs x^a and 1 - (1 - x)^b at
+        # u = 1 - U in (0, 1]; 0.0 - expm1 keeps u = 1 at +0.0, and a tiny b
+        # overflows log(u) / b to -inf, which gives 1.0
+        if self.beta == 1.0:
+            return (1.0 - raw) ** (1.0 / self.alpha)
+        if self.alpha == 1.0:
+            with np.errstate(over="ignore"):
+                return 0.0 - np.expm1(np.log(1.0 - raw) / self.beta)
+        return raw
 
     def support(self):
         return (0.0, 1.0)

@@ -50,7 +50,7 @@ from .errors import DrawError, NonConvergentError, PreconditionError
 from .existence import (VERDICT_CONVERGES, VERDICT_DEGENERATE,
                         VERDICT_EXACT_STOP, existence_report)
 from .laws import JointLaw, joint_to_json
-from .streams import LanePool, RandomStream, derive_seed
+from .streams import STREAM_SCHEME, LanePool, RandomStream, derive_seed
 
 DEFAULT_EPSILON = 1e-15
 DEFAULT_MAX_TERMS = 10 ** 6
@@ -362,6 +362,7 @@ def sample_batch(config: PerpetuityConfig, n: int) -> EmpiricalDistribution:
         "max_terms": config.max_terms,
         "seed": config.seed,
         "stream_ids": [0, n],
+        "stream_scheme": STREAM_SCHEME,
     }
     return EmpiricalDistribution(values, n, n_truncated, n_exhausted, provenance)
 

@@ -40,6 +40,12 @@ LANE_Q = 2
 
 _N_LANES = 4
 
+# Names what a (seed, stream id) yields: the Philox-4x64 lane keys above and
+# the family samplers of ``perpetua.laws``.  v1 drew every beta law with
+# ``Generator.beta``; v2 draws Beta(a, 1) and Beta(1, b) by inverting one
+# ``random()`` block.
+STREAM_SCHEME = "philox4x64-lane-v2"
+
 
 def _splitmix64(x: int) -> int:
     """One round of splitmix64; a 64-bit bijection used to derive seeds."""

@@ -32,6 +32,8 @@ _SCIPY_PAIRS = [
     (Weibull(0.5, 1.0), stats.weibull_min(0.5, scale=1.0)),
     (Weibull(2.0, 0.8), stats.weibull_min(2.0, scale=0.8)),
     (InverseGamma(1.5, 0.25), stats.invgamma(1.5, scale=0.25)),
+    (Beta(19.0, 1.0), stats.beta(19.0, 1.0)),
+    (Beta(1.0, 1.0), stats.beta(1.0, 1.0)),
 ]
 
 
@@ -68,6 +70,38 @@ def test_sampling_tracks_cdf(law, dist):
     ecdf = np.arange(1, xs.size + 1) / xs.size
     ks = float(np.max(np.abs(ecdf - dist.cdf(xs))))
     assert ks < 0.035
+
+
+@pytest.mark.parametrize("law,invert", [
+    (Beta(19.0, 1.0), lambda u: u ** (1.0 / 19.0)),
+    (Beta(1.0, 3.5), lambda u: 0.0 - np.expm1(np.log(u) / 3.5)),
+], ids=["beta19-1", "beta1-3.5"])
+def test_beta_inverts_one_uniform_block(law, invert):
+    # Beta(a, 1) and Beta(1, b) are their inverse cdfs at u = 1 - U, U the
+    # stream's own random() block
+    got = law.sample_block(RandomStream(5, 3).generator(LANE_M), 1000)
+    u = 1.0 - RandomStream(5, 3).generator(LANE_M).random(1000)
+    assert got.tobytes() == invert(u).tobytes()
+
+
+@pytest.mark.parametrize("a,b", [(19.0, 1.0), (1.0, 1.0), (0.5, 1.0), (1.0, 3.5)])
+def test_inverted_beta_passes_ks(a, b):
+    xs = Beta(a, b).sample_block(RandomStream(seed=29).generator(), 10 ** 5)
+    assert stats.kstest(xs, stats.beta(a, b).cdf).pvalue > 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,b,lo,hi", [
+    (1e-300, 1.0, 0.0, 0.0), (5e-324, 1.0, 0.0, 0.0),
+    (1e300, 1.0, 1.0, 1.0), (1.0, 1e-300, 1.0, 1.0), (1.0, 5e-324, 1.0, 1.0),
+    (1.0, 1e300, 5e-324, 1e-298),
+])
+def test_inverted_beta_extremes_match_numpy(a, b, lo, hi):
+    # the values numpy's beta sampler gives at these parameters, without a
+    # floating-point warning, NaN or -0.0
+    xs = Beta(a, b).sample_block(RandomStream(seed=30).generator(), 10 ** 4)
+    assert lo <= xs.min() and xs.max() <= hi
+    assert not (np.isnan(xs).any() or np.signbit(xs).any())
 
 
 def test_log_abs_mean_values():
@@ -440,12 +474,13 @@ def test_signed_rademacher_draw_path_matches_integers():
             assert ms.tolist() == (2.0 * want_gen.integers(0, 2, size) - 1.0).tolist()
 
 
-# one law of each family; log_pareto(0.2) overflows to inf in about a quarter
-# of its draws
+# one law of each family, and beta on both its samplers; log_pareto(0.2)
+# overflows to inf in about a quarter of its draws
 _ROW_LAWS = (
     PointMass(0.5), FiniteDiscrete((0.0, 0.5, 2.0), (0.2, 0.3, 0.5)),
     UniformContinuous(-1.0, 2.0), UniformDiscreteRange(7), Exponential(1.5),
-    Gamma(2.5, 0.5), Beta(19.0, 1.0), Weibull(0.5, 2.0), Poisson(3.0),
+    Gamma(2.5, 0.5), Beta(19.0, 1.0), Beta(2.5, 0.7), Beta(1.0, 3.5),
+    Weibull(0.5, 2.0), Poisson(3.0),
     InverseGamma(1.5, 0.25), SignedRademacher(1.7), LogPareto(0.2),
 )
 _ROW_JOINTS = (

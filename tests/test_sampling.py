@@ -15,7 +15,7 @@ from perpetua.sampling import (_CF_SPACING, _CF_TILE, _STAGE, EmpiricalDistribut
                                empirical_moment, fixed_point_residual,
                                ks_distance, sample_batch, sample_perpetuity,
                                to_csv, two_sample_ks)
-from perpetua.streams import RandomStream
+from perpetua.streams import STREAM_SCHEME, RandomStream
 
 HALF_ONE = Independent(PointMass(0.5), PointMass(1.0))
 GEO = Independent(FiniteDiscrete((0.0, 1.0), (0.3, 0.7)), PointMass(1.0))
@@ -448,6 +448,7 @@ def test_provenance_recorded():
     assert prov["max_terms"] == 500
     assert prov["stream_ids"] == [0, 10]
     assert prov["joint"]["coupling"] == "independent"
+    assert prov["stream_scheme"] == STREAM_SCHEME == "philox4x64-lane-v2"
 
 
 def test_sample_batch_rejects_bad_n():
