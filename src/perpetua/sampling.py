@@ -10,9 +10,11 @@ Batches draw sample i from the dedicated stream (seed, stream_id=i), so the
 result is a pure function of (config, n) no matter how the ids are chunked.
 ``sample_batch`` runs one chunk, ``_batch_chunk`` over all n ids, and sorts.
 
-The series arithmetic lives in one kernel, ``_accumulate``, which runs many
-paths over rows of _BLOCK pairs at once and gives each row exactly the
-floating-point operations of one lone _BLOCK-pair block, in the same order.
+The series arithmetic lives in one kernel, ``_accumulate``, which is the
+recursion itself on many paths at once: one cumulative product per path from
+the product it carries in, a stop at the first zero factor or |Pi_k| <=
+epsilon, and the terms Pi_{k-1} Q_k summed in rows of _BLOCK, every term past
+the stop set to 0, the row sums folded into the carried total one by one.
 A chunk is a wavefront: every draw of a sub-chunk draws its first k
 rows from its own re-keyed streams in one ``draw_rows`` call per
 sub-chunk, which makes one generator call per stream key (see
@@ -23,10 +25,12 @@ paths together in super-blocks of doubling size, one ``draw_pairs`` call
 per path and one kernel call per stage; a draw whose k would pass
 _MAX_ROWS runs there from its first pair, and ``sample_perpetuity`` is
 ``_paths`` on one stream.  Since numpy's samplers give the same values
-whether a stream is read in one block or several, and the kernel gives each
-row the same bytes however a path's rows are grouped into calls, every
-sample equals the one the plain per-draw, block-at-a-time loop produces,
-bit for bit; k only changes how fast that happens.
+whether a stream is read in one block or several, and the kernel gives a
+path the same bytes however its rows are split among calls, every sample
+equals the one the plain per-draw, block-at-a-time loop produces, bit for
+bit; k only changes how fast that happens.  An overflowed product stays
+infinite, so an overflowed draw is +-inf, and NaN only where inf - inf or
+0 * inf occurs.
 
 The empirical characteristic function is one kernel too, ``_cf_parts``.  On
 an arithmetic t-grid t = t0 + (kS + j)h it splits e^{itx} into
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -82,11 +87,14 @@ class PerpetuityConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise PreconditionError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
-        if not (isinstance(self.max_terms, int) and self.max_terms >= 1):
+        # bool is an int, and so a Real: the range leaves out True and False
+        # as epsilon, but max_terms and seed must leave them out by type
+        if not (isinstance(self.epsilon, Real) and 0.0 < self.epsilon < 1.0):
+            raise PreconditionError(f"epsilon must be a number in (0, 1), got {self.epsilon!r}")
+        if not (isinstance(self.max_terms, int) and not isinstance(self.max_terms, bool)
+                and self.max_terms >= 1):
             raise PreconditionError(f"max_terms must be an integer >= 1, got {self.max_terms!r}")
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise PreconditionError(f"seed must be an integer, got {self.seed!r}")
 
 
@@ -170,73 +178,49 @@ class EmpiricalDistribution:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _accumulate(ms: np.ndarray, qs: np.ndarray, epsilon: float, pi: np.ndarray,
-                total: np.ndarray, end: int | None):
-    """Run paths over rows of _BLOCK pairs; the series arithmetic of the sampler.
+                total: np.ndarray, last: bool):
+    """Run paths over a stage of pairs; the series arithmetic of the sampler.
 
-    ``ms`` and ``qs`` are (paths, rows, _BLOCK); ``pi`` and ``total`` are the
-    running product and partial sum each path carries into its first row.
-    ``end`` is the column of the last row that holds term max_terms, or None
-    when the rows stop short of it; columns after it are padding.  Every row
-    gets the operations of one lone block, in order: a cumulative product
-    along the row, the product carried into the next row, and row sums folded
-    into the total one after another from the left.  A path stops at its
-    first zero factor or first |product| <= epsilon, and the partial sum of
-    its stopping row covers the columns up to the stop.
+    ``ms`` and ``qs`` are (paths, size) pairs, and ``pi`` and ``total`` the
+    product and partial sum each path carries into them; ``size`` is a
+    multiple of _BLOCK unless ``last`` says the stage ends at max_terms.  The
+    products are one cumulative product from the carried one, and a path
+    stops at its first zero factor or first |product| <= epsilon.  The terms
+    Pi_{k-1} Q_k fill rows of _BLOCK, the short last row padded with zeros
+    and every term after the stop set to 0; each row is one ``np.sum``, and
+    the row sums fold into the total from the left.  A path's value is the
+    fold through its stopping row.  The rows after it add +0.0, which changes
+    no total but -0.0, and a fold from +0.0 never gives -0.0, so the value is
+    the total the path ends the stage with.  No split of a path's rows among
+    calls at multiples of _BLOCK changes a bit.
 
-    Returns (stop, value, truncated, exhausted, pi, total) per path: the
-    flat index of the stopping pair (-1 when the path runs on), its value,
-    its stop flags, and the product and total to carry into further rows.
-    Overflow gives inf and inf - inf gives NaN, without numpy warnings.
+    Returns (stop, total, truncated, exhausted, pi) per path: the index of
+    the stopping pair (-1 when the path runs on), the value of a stopped
+    path or the total a running one carries on, the stop flags, and the
+    product to carry on.  Overflow gives +-inf, and NaN only where inf - inf
+    or 0 * inf occurs, without numpy warnings.
     """
-    paths, rows, _ = ms.shape
-    # two working arrays, updated in place: run (the products) and contrib
-    run = np.cumprod(ms, axis=2)
-    pis = np.cumprod(np.concatenate([pi[:, None], run[:, :, -1]], axis=1), axis=1)
-    run *= pis[:, :-1, None]
-    contrib = np.empty_like(run)
-    contrib[:, :, 0] = pis[:, :-1]
-    contrib[:, :, 1:] = run[:, :, :-1]
-    contrib *= qs
-    totals = np.cumsum(np.concatenate([total[:, None], contrib.sum(axis=2)], axis=1),
-                       axis=1)
-    hit = np.abs(run, out=run) <= epsilon
-    hit |= ms == 0.0
-    hit = hit.reshape(paths, -1)
+    paths, size = ms.shape
+    width = -(-size // _BLOCK) * _BLOCK
+    run = np.concatenate([pi[:, None], ms], axis=1)
+    np.cumprod(run, axis=1, out=run)
+    terms = np.zeros((paths, width))
+    np.multiply(run[:, :-1], qs, out=terms[:, :size])
+    pi = run[:, -1].copy()
+    hit = np.abs(run, out=run)[:, 1:] <= epsilon
     del run
-    # padding repeats the product of the column before it, so a path never
-    # first stops in the padding
+    hit |= ms == 0.0
     stop = hit.argmax(axis=1)
-    running = ~hit[np.arange(paths), stop]
-    stop[running] = -1 if end is None else (rows - 1) * _BLOCK + end
-    exhausted = running & (end is not None)
-    value = np.full(paths, np.nan)
-    truncated = exhausted.copy()
-    done = np.flatnonzero(stop >= 0)
-    if done.size:
-        at = stop[done]
-        truncated[done] |= ms.reshape(paths, -1)[done, at] != 0.0
-        # np.sum's pairwise order depends on the length summed, so each
-        # partial sum runs over exactly the stop's columns: group by column
-        order = np.argsort(at % _BLOCK, kind="stable")
-        done, (row, col) = done[order], np.divmod(at[order], _BLOCK)
-        stopping = contrib.reshape(-1, _BLOCK)[done * rows + row]
-        partial = np.empty(done.size)
-        cuts = [0, *(np.flatnonzero(np.diff(col)) + 1).tolist(), done.size]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            partial[a:b] = stopping[a:b, : col[a] + 1].sum(axis=1)
-        value[done] = totals[done, row] + partial
-    return stop, value, truncated, exhausted, pis[:, -1], totals[:, -1]
-
-
-def _rows(ms: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs as rows of _BLOCK, the last row padded with M = 1, Q = 0."""
-    width = -(-ms.shape[-1] // _BLOCK) * _BLOCK
-    if width != ms.shape[-1]:
-        pad = [(0, 0)] * (ms.ndim - 1) + [(0, width - ms.shape[-1])]
-        ms = np.pad(ms, pad, constant_values=1.0)
-        qs = np.pad(qs, pad, constant_values=0.0)
-    shape = ms.shape[:-1] + (-1, _BLOCK)
-    return ms.reshape(shape), qs.reshape(shape)
+    at = np.arange(paths)
+    running = ~hit[at, stop]
+    stop[running] = size - 1
+    np.copyto(terms, 0.0, where=np.arange(width) > stop[:, None])
+    sums = terms.reshape(paths, width // _BLOCK, _BLOCK).sum(axis=2)
+    total = np.cumsum(np.concatenate([total[:, None], sums], axis=1), axis=1)[:, -1]
+    truncated = ms[at, stop] != 0.0
+    if not last:
+        stop[running] = -1
+    return stop, total, truncated, running & last, pi
 
 
 def _check_sampleable(joint: JointLaw) -> None:
@@ -267,20 +251,17 @@ def _paths(joint: JointLaw, epsilon: float, max_terms: int, streams: list[Random
     while live.size:
         rows = min(rows, _MAX_ROWS, max(1, _STAGE // (_BLOCK * live.size)))
         size = min(rows * _BLOCK, max_terms - done)
-        # the last row of the last super-block is padded with M = 1, Q = 0
-        ms = np.ones((live.size, -(-size // _BLOCK), _BLOCK))
-        qs = np.zeros_like(ms)
-        flat_ms, flat_qs = ms.reshape(live.size, -1), qs.reshape(live.size, -1)
+        ms, qs = np.empty((live.size, size)), np.empty((live.size, size))
         for j, k in enumerate(live):
             try:
-                flat_ms[j, :size], flat_qs[j, :size] = joint.draw_pairs(streams[k], size)
+                ms[j], qs[j] = joint.draw_pairs(streams[k], size)
             except Exception as exc:
                 raise DrawError(streams[k].stream_id, exc) from exc
-        end = (size - 1) % _BLOCK if done + size == max_terms else None
-        stop, v, trunc, exh, pi, total = _accumulate(ms, qs, epsilon, pi, total, end)
+        stop, total, trunc, exh, pi = _accumulate(
+            ms, qs, epsilon, pi, total, done + size == max_terms)
         out = stop >= 0
         at = live[out]
-        value[at], terms[at] = v[out], done + stop[out] + 1
+        value[at], terms[at] = total[out], done + stop[out] + 1
         truncated[at], exhausted[at] = trunc[out], exh[out]
         live, pi, total = live[~out], pi[~out], total[~out]
         done += size
@@ -325,10 +306,9 @@ def _batch_chunk(config: PerpetuityConfig, ids) -> tuple[np.ndarray, int, int]:
                 joint, epsilon, max_terms, [RandomStream(config.seed, i) for i in wave], rows)
         else:
             size = min(rows * _BLOCK, max_terms)
-            ms, qs = _rows(*joint.draw_rows(config.seed, wave, size, pool))
-            end = (size - 1) % _BLOCK if size == max_terms else None
-            stop, value, trunc, exh, *_ = _accumulate(
-                ms, qs, epsilon, np.ones(width), np.zeros(width), end)
+            ms, qs = joint.draw_rows(config.seed, wave, size, pool)
+            stop, value, trunc, exh, _ = _accumulate(
+                ms, qs, epsilon, np.ones(width), np.zeros(width), size == max_terms)
             del ms, qs  # freed before the draws still running allocate their own
             terms = stop + 1
             running = np.flatnonzero(stop < 0)

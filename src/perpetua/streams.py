@@ -40,11 +40,13 @@ LANE_Q = 2
 
 _N_LANES = 4
 
-# Names what a (seed, stream id) yields: the Philox-4x64 lane keys above and
-# the family samplers of ``perpetua.laws``.  v1 drew every beta law with
+# Names what a (seed, stream id) yields: the Philox-4x64 lane keys above, the
+# family samplers of ``perpetua.laws`` and the series sum of
+# ``perpetua.sampling._accumulate``.  v1 drew every beta law with
 # ``Generator.beta``; v2 draws Beta(a, 1) and Beta(1, b) by inverting one
-# ``random()`` block.
-STREAM_SCHEME = "philox4x64-lane-v2"
+# ``random()`` block; v3 sums v2's pairs by the plain recursion, each 48-pair
+# block's products running on from the carried one.
+STREAM_SCHEME = "philox4x64-lane-v3"
 
 
 def _splitmix64(x: int) -> int:

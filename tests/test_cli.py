@@ -47,6 +47,13 @@ OVERFLOWING = {
     "M": {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
     "Q": {"family": "log_pareto", "params": {"index": 1.2}},
 }
+# E log M = -57.6, yet about a quarter of the draws overflow float64 to +inf
+OVERFLOWING_PRODUCT = {
+    "coupling": "independent",
+    "M": {"family": "finite_discrete",
+          "params": {"values": [1e200, 1e-250], "probs": [0.5, 0.5]}},
+    "Q": {"family": "exponential", "params": {"rate": 1.0}},
+}
 # some draws are inf - inf inside a partial sum
 SIGNED_HEAVY = {
     "coupling": "independent",
@@ -553,6 +560,18 @@ def test_simulate_non_finite_draws_strict_json_exit(tmp_path, capsys):
     assert summary["variance"] is None and summary["quantiles"]["99"] == "inf"
     assert ["inf", 0.013] in summary["atoms"]
     assert captured.err.startswith("error: 260 of 20000 samples are not finite")
+
+
+def test_simulate_overflowed_product_writes_inf_rows(tmp_path, capsys):
+    cfg = _write(tmp_path, OVERFLOWING_PRODUCT)
+    out = tmp_path / "z.csv"
+    assert main(["simulate", cfg, "--n", "500", "--max-terms", "2000", "--json",
+                 "--out", str(out)]) == 4
+    rows = out.read_text().splitlines()[1:]
+    assert "inf" in rows and "nan" not in rows
+    summary = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert summary["max"] == "inf"
+    assert isinstance(summary["quantiles"]["1"], float)
 
 
 def test_simulate_non_convergent_exit(tmp_path, capsys):

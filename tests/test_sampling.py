@@ -101,6 +101,28 @@ def test_config_validation():
         PerpetuityConfig(U_EXP, seed=1.5)
 
 
+_BAD_SETTINGS = [{"max_terms": True}, {"seed": True}, {"seed": False}, {"epsilon": True},
+                 {"epsilon": "0.1"}, {"epsilon": None}, {"epsilon": 0.1j}]
+
+
+@pytest.mark.parametrize("kwargs", _BAD_SETTINGS,
+                         ids=[f"{k}={v!r}" for kw in _BAD_SETTINGS for k, v in kw.items()])
+def test_config_rejects_bools_and_non_real_epsilon(kwargs):
+    with pytest.raises(PreconditionError):
+        PerpetuityConfig(U_EXP, **kwargs)
+
+
+def test_overflowed_draws_are_inf_not_nan():
+    # E log M = -57.6, yet about a quarter of the paths overflow float64: the
+    # product runs on from the carried one, so an infinite product times a
+    # tiny factor stays infinite and the sum of positive terms is +inf
+    joint = Independent(FiniteDiscrete((1e200, 1e-250), (0.5, 0.5)), Exponential(1.0))
+    samples = sample_batch(PerpetuityConfig(joint, max_terms=2000), 2000).samples
+    assert not np.isnan(samples).any()
+    overflowed = samples[~np.isfinite(samples)]
+    assert overflowed.size > 0 and (overflowed == np.inf).all()
+
+
 def test_partial_sum_trajectory_deterministic_maps():
     # a draw that exhausts max_terms = k is the backward partial sum Z_k
     for k, want in enumerate((1.0, 1.5, 1.75, 1.875), start=1):
@@ -448,7 +470,7 @@ def test_provenance_recorded():
     assert prov["max_terms"] == 500
     assert prov["stream_ids"] == [0, 10]
     assert prov["joint"]["coupling"] == "independent"
-    assert prov["stream_scheme"] == STREAM_SCHEME == "philox4x64-lane-v2"
+    assert prov["stream_scheme"] == STREAM_SCHEME == "philox4x64-lane-v3"
 
 
 def test_sample_batch_rejects_bad_n():
